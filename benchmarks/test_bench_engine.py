@@ -9,10 +9,12 @@ perf record CI uploads as an artifact:
 * a 10^3 / 10^4 / 10^5-node federated scale sweep (events/sec and
   peak RSS per point) — the ROADMAP's million-host trajectory;
 * the cProfile top-30 of the 10^5-node scenario, saved next to the
-  JSON (CI uploads it as an artifact in the slow lane);
+  JSON (both are untracked; CI uploads them as artifacts in the slow
+  lane) — a diagnostic, not a gate;
 * the cold-vs-warm wall time of materializing a seti-class trace
   realization through the shared on-disk :class:`~repro.experiments.
-  trace_store.TraceStore` (warm must stay at least 5x faster).
+  trace_store.TraceStore`, for the columnar path runs use (warm must
+  stay at least 5x faster) and, recorded only, the ``Node``-list path.
 """
 
 import cProfile
@@ -74,13 +76,6 @@ SCALE_NODES = (1_000, 10_000, 100_000)
 PR8_SWEEP_100K_EPS = 6_631.8
 SWEEP_GATE_MULTIPLIER = 1.3
 
-#: cumulative-profile ceiling for the dispatch plane's *pairing
-#: machinery*: base._dispatch + pool.acquire, minus the per-assignment
-#: `_execute` payload (which runs once per pairing no matter which
-#: dispatch strategy produced it), must stay under this share of the
-#: profiled 10^5-node run wall
-DISPATCH_SHARE_CEILING = 0.25
-
 _JSON_PATH = os.path.join(results_dir(), "BENCH_engine.json")
 _PROFILE_PATH = os.path.join(results_dir(), "PROFILE_engine_100k.txt")
 
@@ -102,13 +97,19 @@ def _merge_payload(section: dict) -> None:
         fh.write("\n")
 
 
-def _materialize_fresh(seed: int) -> float:
-    """Wall seconds for a fresh L1 (new shard) to realize the trace."""
+def _materialize_fresh(seed: int, columns: bool) -> float:
+    """Wall seconds for a fresh L1 (new shard) to realize the trace, as
+    the ``NodeColumns`` runs build pools from or as a ``Node`` list."""
     cache = TraceCache()
     t0 = time.perf_counter()
-    nodes = cache.materialize("seti", seed, SETI_CAP, SETI_HORIZON)
+    if columns:
+        realization = cache.materialize_columns("seti", seed, SETI_CAP,
+                                                SETI_HORIZON)
+    else:
+        realization = cache.materialize("seti", seed, SETI_CAP,
+                                        SETI_HORIZON)
     wall = time.perf_counter() - t0
-    assert len(nodes) == SETI_CAP
+    assert len(realization) == SETI_CAP
     return wall
 
 
@@ -146,20 +147,25 @@ def test_engine_throughput_and_trace_store(tmp_path, scale):
 
     # --- cold vs warm trace materialization through the store ---------
     # a fresh store in tmp so the timings are genuinely cold; each warm
-    # round models another executor shard (fresh L1, shared L2)
+    # round models another executor shard (fresh L1, shared L2).  One
+    # realization per path (seed), so each path has its own cold start.
     store = TraceStore(root=str(tmp_path / "traces"))
     prev = ts.set_default_trace_store(store)
+    walls = {}
     try:
-        cold = _materialize_fresh(seed=42)
-        store_warm_walls = [_materialize_fresh(seed=42)
-                            for _ in range(WARM_SHARDS)]
-        assert store.saves == 1
-        assert store.loads == WARM_SHARDS
+        for seed, columns in ((42, True), (43, False)):
+            cold = _materialize_fresh(seed, columns)
+            warm = [_materialize_fresh(seed, columns)
+                    for _ in range(WARM_SHARDS)]
+            walls[columns] = (cold, warm, cold / (sum(warm) / len(warm)))
+        assert store.saves == 2
+        assert store.loads == 2 * WARM_SHARDS
         store_bytes = store.file_bytes()
     finally:
         ts.set_default_trace_store(prev)
+    cold, store_warm_walls, store_speedup = walls[True]
     store_warm = sum(store_warm_walls) / len(store_warm_walls)
-    store_speedup = cold / store_warm
+    nodes_cold, nodes_warm, nodes_speedup = walls[False]
 
     _merge_payload({
         "scale": scale.name,
@@ -179,6 +185,12 @@ def test_engine_throughput_and_trace_store(tmp_path, scale):
             "warm_seconds": [round(w, 4) for w in store_warm_walls],
             "speedup": round(store_speedup, 1),
             "store_bytes": store_bytes,
+            "node_list": {
+                "cold_seconds": round(nodes_cold, 4),
+                "warm_seconds_mean": round(
+                    sum(nodes_warm) / len(nodes_warm), 4),
+                "speedup": round(nodes_speedup, 1),
+            },
         },
     })
     print(f"\n[bench json saved to {_JSON_PATH}]")
@@ -186,10 +198,12 @@ def test_engine_throughput_and_trace_store(tmp_path, scale):
           f"{res_cold.events:,} events ({speedup_vs_seed:.2f}x the "
           f"recorded seed, cold {cold_eps:,.0f}); trace store warm-up "
           f"{store_speedup:.1f}x (cold {cold:.2f}s, "
-          f"warm {store_warm * 1e3:.0f}ms)")
+          f"warm {store_warm * 1e3:.0f}ms; Node list {nodes_speedup:.1f}x)")
 
     # regression gates: warm events/sec must clear GATE_MULTIPLIER x
-    # the PR 6 seed, and a warm trace store must stay >= 5x cold
+    # the recorded seed, and a warm trace store must stay >= 5x cold on the
+    # columnar path (the Node-list ratio mostly measures Node
+    # construction once generation is cheap, so it is recorded only)
     gate = GATE_MULTIPLIER * PR6_EVENTS_PER_SEC
     assert warm_eps >= gate, (
         f"warm throughput regressed below {GATE_MULTIPLIER}x the "
@@ -206,7 +220,7 @@ def test_engine_scale_sweep_and_profile(scale):
     pause time scales with the host process's live heap — a full tier-1
     session holds thousands of collected test items — and cProfile
     attributes each pause to whichever allocation triggered it, which
-    would swamp the per-tick share this test gates on.
+    would swamp the per-tick cost this test gates on.
     """
     gc.collect()
     gc.disable()
@@ -257,7 +271,7 @@ def _scale_sweep_and_profile(scale):
     print(f"[profile saved to {_PROFILE_PATH}]")
 
     # Algorithm 2 tick cost: core/scheduler.py's cumulative share of
-    # the profiled run wall (the ROADMAP contract keeps it under 20%)
+    # the profiled run wall (recorded as a diagnostic)
     tick_cum = sum(
         ct for (fname, _lineno, func), (_cc, _nc, _tt, ct, _callers)
         in stats.stats.items()
@@ -360,35 +374,21 @@ def _scale_sweep_and_profile(scale):
         "dispatch": dispatch_section,
     })
 
-    # the tick loop must stay a minor profile line: Algorithm 2's scan
-    # is columnar now, so a large share of run wall means the
-    # O(1)/vectorized paths stopped engaging.  The ceiling moved from
-    # 20% to 25% in PR 10: vectorizing the dispatch plane cut the whole
-    # profiled 10^5-node wall by ~7x while the absolute tick cost stayed
-    # flat (~190us), so the unchanged scheduler reads as a larger
-    # *fraction* — the absolute guard below is the real regression trap.
-    assert sched_share < 0.25, (
-        f"core/scheduler.py _tick is {sched_share:.1%} of the profiled "
-        f"10^5-node run wall (contract: < 25%)")
+    # gates are absolute costs, not cProfile shares: a share moves
+    # whenever *another* layer gets faster or slower
     assert scheduler_section["mean_tick_us"] < 500, (
         f"mean scheduler tick cost regressed to "
         f"{scheduler_section['mean_tick_us']:.0f}us "
         f"(contract: < 500us at the 10^5-node point)")
 
     # PR 10 gate: the vectorized dispatch plane must hold its win on
-    # the 10^5 point, and the pairing machinery must stay a minor
-    # profile line (regression = the bulk path silently disengaged)
+    # the 10^5 point (regression = the bulk path silently disengaged)
     sweep_gate = SWEEP_GATE_MULTIPLIER * PR8_SWEEP_100K_EPS
     eps_100k = sweep[-1]["events_per_second"]
     assert eps_100k >= sweep_gate, (
         f"10^5-node sweep point regressed below "
         f"{SWEEP_GATE_MULTIPLIER}x the recorded PR 8 seed: "
         f"{eps_100k:,.0f} < {sweep_gate:,.0f} events/s")
-    assert dispatch_share < DISPATCH_SHARE_CEILING, (
-        f"base._dispatch + pool.acquire pairing machinery (execute "
-        f"payload excluded) is {dispatch_share:.1%} of the profiled "
-        f"10^5-node run wall "
-        f"(contract: < {DISPATCH_SHARE_CEILING:.0%})")
 
     # sanity: every point simulated the same tenant workload, so event
     # counts may differ per environment but must all be non-trivial

@@ -22,6 +22,7 @@ from repro.experiments import ExecutionConfig, run_execution
 from repro.infra.spot import SpotMarket, ladder_counts, spot_intervals
 from repro.infra.stats import measure_trace
 from repro.infra.catalog import get_trace_spec
+from repro.infra.node import nodes_from_flat
 
 DAY = 86400.0
 
@@ -52,7 +53,8 @@ def main() -> None:
 
     # Table 2 style statistics of the materialized trace
     spec = get_trace_spec("spot10")
-    nodes = spec.materialize(np.random.default_rng(8), 4 * DAY)
+    nodes = nodes_from_flat(*spec.materialize(np.random.default_rng(8),
+                                              4 * DAY))
     st = measure_trace(nodes, 4 * DAY)
     print(f"\nspot10 trace vs paper targets: mean {st.mean_nodes:.0f} "
           f"(target {spec.mean_nodes:.0f}), max {st.max_nodes} "

@@ -710,11 +710,13 @@ def _cmd_sweep_federated(args, _axis) -> int:
 def _cmd_trace(args) -> int:
     from repro.infra.catalog import get_trace_spec
     from repro.infra.fta import save_trace
+    from repro.infra.node import nodes_from_flat
     from repro.infra.stats import measure_trace
     spec = get_trace_spec(args.name)
     horizon = args.days * 86400.0
     rng = np.random.default_rng(args.seed)
-    nodes = spec.materialize(rng, horizon, max_nodes=args.max_nodes)
+    nodes = nodes_from_flat(*spec.materialize(rng, horizon,
+                                              max_nodes=args.max_nodes))
     stats = measure_trace(nodes, horizon)
     print(f"trace {spec.name} ({spec.dci_class}), {args.days:g} days, "
           f"{len(nodes)} nodes materialized")

@@ -44,6 +44,7 @@ from repro.deployment.bridge import ThreeGBridge
 from repro.experiments.config import DCISpec, ScenarioConfig
 from repro.experiments.harness import ScenarioHarness
 from repro.infra.catalog import get_trace_spec
+from repro.infra.node import nodes_from_flat
 from repro.infra.pool import NodePool
 from repro.middleware.xwhep import XWHepServer
 from repro.workload.generator import make_bot
@@ -147,15 +148,15 @@ class EDGIDeployment:
         rng = np.random.default_rng([seed, 0xED61])
 
         # XW@LAL: desktop grid with nd-like churn.
-        lal_trace = get_trace_spec("nd").materialize(
-            rng, self.horizon, max_nodes=lal_nodes)
+        lal_trace = nodes_from_flat(*get_trace_spec("nd").materialize(
+            rng, self.horizon, max_nodes=lal_nodes))
         self.lal_pool = NodePool(lal_trace,
                                  rng=np.random.default_rng([seed, 1]))
         self.xw_lal = XWHepServer(self.sim, self.lal_pool, name="XW@LAL")
 
         # XW@LRI: Grid'5000 best-effort, bounded to 200 nodes (§5).
-        lri_trace = get_trace_spec("g5klyo").materialize(
-            rng, self.horizon, max_nodes=lri_nodes)
+        lri_trace = nodes_from_flat(*get_trace_spec("g5klyo").materialize(
+            rng, self.horizon, max_nodes=lri_nodes))
         self.lri_pool = NodePool(lri_trace,
                                  rng=np.random.default_rng([seed, 2]))
         self.xw_lri = XWHepServer(self.sim, self.lri_pool, name="XW@LRI")

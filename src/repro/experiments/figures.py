@@ -56,6 +56,7 @@ from repro.experiments.config import CampaignScale, ExecutionConfig, get_scale
 from repro.experiments.report import ExperimentReport, Series, TextTable
 from repro.experiments.runner import ExecutionResult, run_campaign
 from repro.infra.catalog import TRACE_NAMES, get_trace_spec, list_trace_specs
+from repro.infra.node import nodes_from_flat
 from repro.infra.stats import measure_trace
 from repro.workload.categories import BOT_CATEGORIES
 from repro.workload.generator import make_bot
@@ -278,7 +279,8 @@ def table2_report(horizon_days: float = 4.0,
             ",".join(f"{q:.0f}" for q in spec.avail_quartiles),
             ",".join(f"{q:.0f}" for q in spec.unavail_quartiles),
             f"{spec.power_mean:.0f}", f"{spec.power_std:.0f}")
-        nodes = spec.materialize(rng, horizon_days * 86400.0)
+        nodes = nodes_from_flat(*spec.materialize(rng,
+                                                  horizon_days * 86400.0))
         st = measure_trace(nodes, horizon_days * 86400.0, step)
         table.add_row(
             "", "measured", f"{st.mean_nodes:.0f}", f"{st.std_nodes:.0f}",

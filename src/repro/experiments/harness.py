@@ -37,10 +37,10 @@ processes: an L1 miss first tries the store (memory-mapped, no
 regeneration), and fresh realizations are archived on the way in, so
 `CampaignExecutor` shards — keyed by ``(trace, seed)`` — land on warm
 entries by construction.  Hit/miss/eviction counters are kept on the
-cache object; ``disk_hits`` counts L2 promotions.  Only raw interval
-arrays are cached, and they are **read-only** (a mutating consumer
+cache object; ``disk_hits`` counts L2 promotions.  Entries are the
+store's columnar arrays, and they are **read-only** (a mutating consumer
 fails loudly instead of silently corrupting every future execution
-sharing the realization) — Node objects carry a scan cursor and are
+sharing the realization) — scan cursors live outside them and are
 rebuilt per execution.
 """
 
@@ -63,7 +63,7 @@ from repro.experiments.trace_store import default_trace_store
 from repro.history import HistoryPlane
 from repro.infra.catalog import get_trace_spec
 from repro.infra.columns import NodeColumns
-from repro.infra.node import Node
+from repro.infra.node import Node, nodes_from_flat
 from repro.infra.pool import NodePool
 from repro.middleware.base import DGServer
 from repro.simulator.engine import Simulation
@@ -76,55 +76,30 @@ __all__ = ["TraceCache", "TRACE_CACHE", "AssemblyCache", "ASSEMBLY_CACHE",
 # trace realization cache (per process, true LRU)
 # ---------------------------------------------------------------------------
 _TraceKey = Tuple[str, Tuple[int, ...], int, float]
-_RawNodes = List[Tuple[np.ndarray, np.ndarray, float, str]]
-
-
-class _CacheEntry:
-    """One cached realization: flat store-layout arrays and/or the
-    per-node raw view list, whichever was cheapest to obtain.
-
-    Disk hits arrive flat (five array handles); the per-node views are
-    only built if an object-Node consumer actually asks
-    (:meth:`TraceCache.materialize`) — columnar consumers go straight
-    to :meth:`~repro.infra.columns.NodeColumns.from_flat` and never
-    pay the 10^5-iteration split.  Generated realizations arrive raw.
-    """
-
-    __slots__ = ("flat", "_raw")
-
-    def __init__(self, flat: Optional[Tuple] = None,
-                 raw: Optional[_RawNodes] = None):
-        self.flat = flat
-        self._raw = raw
-
-    @property
-    def raw(self) -> _RawNodes:
-        if self._raw is None:
-            starts, ends, bounds, powers, tags = self.flat
-            self._raw = [
-                (np.asarray(starts[bounds[i]:bounds[i + 1]]),
-                 np.asarray(ends[bounds[i]:bounds[i + 1]]),
-                 float(powers[i]), tags[i])
-                for i in range(bounds.shape[0] - 1)]
-        return self._raw
 
 
 class TraceCache:
-    """Two-tier cache of materialized trace realizations (raw arrays).
+    """Two-tier cache of materialized trace realizations (flat arrays).
 
-    L1: in-process LRU of raw per-node arrays.  L2: the shared
-    content-addressed on-disk :class:`~repro.experiments.trace_store.
-    TraceStore` (disabled under ``REPRO_NO_CACHE=1``).  All cached
-    arrays are read-only; Node rebuilds share them zero-copy.
+    L1: in-process LRU of realizations in the trace store's columnar
+    layout, ``(starts, ends, offsets, power, tags)``, whether generated
+    or promoted from disk.  L2: the shared content-addressed on-disk
+    :class:`~repro.experiments.trace_store.TraceStore` (disabled under
+    ``REPRO_NO_CACHE=1``).  All cached arrays are read-only; Node
+    rebuilds share them zero-copy.
     """
 
     def __init__(self) -> None:
-        self._entries: "OrderedDict[_TraceKey, _CacheEntry]" = OrderedDict()
-        #: columnar form of an entry, built lazily on first columnar
-        #: request and evicted together with its raw entry
+        self._entries: "OrderedDict[_TraceKey, Tuple]" = OrderedDict()
+        #: Node list of an entry, built on the first Node-list request;
+        #: later requests copy it with fresh cursors, so every rebuilt
+        #: list shares the very same per-node arrays
+        self._nodes: dict[_TraceKey, List[Node]] = {}
+        #: NodeColumns template of an entry, built lazily on first
+        #: columnar request and evicted together with its entry
         self._columns: dict[_TraceKey, NodeColumns] = {}
         #: t=0 pool filing skeleton per columns template, captured on
-        #: the first pool build and evicted with its raw entry
+        #: the first pool build and evicted with its entry
         self._filings: dict[_TraceKey, dict] = {}
         self.hits = 0
         self.misses = 0       # L1 misses (may still hit disk)
@@ -144,9 +119,13 @@ class TraceCache:
         the DCI index so same-trace DCIs realize independently); the
         empty stream reproduces the historical single-DCI layout.
         """
-        raw = self._raw_for((trace, (seed, *stream), cap, horizon))
-        return [Node(i, power, starts, ends, tag=tag)
-                for i, (starts, ends, power, tag) in enumerate(raw)]
+        key = (trace, (seed, *stream), cap, horizon)
+        entry = self._entry_for(key)
+        template = self._nodes.get(key)
+        if template is None:
+            template = self._nodes[key] = nodes_from_flat(*entry)
+        return [Node(n.node_id, n.power, n.starts, n.ends, tag=n.tag)
+                for n in template]
 
     def materialize_columns(self, trace: str, seed: int, cap: int,
                             horizon: float,
@@ -163,11 +142,7 @@ class TraceCache:
         key = (trace, (seed, *stream), cap, horizon)
         template = self._columns.get(key)
         if template is None:
-            entry = self._entry_for(key)
-            if entry.flat is not None:
-                template = NodeColumns.from_flat(*entry.flat)
-            else:
-                template = NodeColumns.from_raw(entry.raw)
+            template = NodeColumns.from_flat(*self._entry_for(key))
             self._columns[key] = template
         else:
             self._entry_for(key)  # LRU touch keeps columns+entry paired
@@ -199,17 +174,14 @@ class TraceCache:
             self._filings[key] = pool.capture_filing()
         return pool
 
-    def _raw_for(self, key: _TraceKey) -> _RawNodes:
-        """L1 lookup with LRU accounting (shared by both materializers)."""
-        return self._entry_for(key).raw
-
-    def _entry_for(self, key: _TraceKey) -> "_CacheEntry":
+    def _entry_for(self, key: _TraceKey) -> Tuple:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             entry = self._materialize_miss(key)
             while len(self._entries) >= self.capacity():
                 evicted, _ = self._entries.popitem(last=False)
+                self._nodes.pop(evicted, None)
                 self._columns.pop(evicted, None)
                 self._filings.pop(evicted, None)
                 self.evictions += 1
@@ -221,12 +193,10 @@ class TraceCache:
             self._entries.move_to_end(key)
         return entry
 
-    def _materialize_miss(self, key: _TraceKey) -> "_CacheEntry":
+    def _materialize_miss(self, key: _TraceKey) -> Tuple:
         """L1 miss: promote from the disk store, else generate + archive.
 
-        Disk promotions stay in the store's flat layout (per-node views
-        are only split off lazily, see :class:`_CacheEntry`).  The
-        generated arrays are frozen before anything else sees them:
+        The generated arrays are frozen before anything else sees them:
         every execution rebuilt from this entry shares them zero-copy,
         so a mutating consumer must fail loudly.
         """
@@ -236,19 +206,17 @@ class TraceCache:
             flat = store.load_flat(key)
             if flat is not None:
                 self.disk_hits += 1
-                return _CacheEntry(flat=flat)
+                return flat
         rng = np.random.default_rng([seed, *stream, 0xACE])
-        nodes = get_trace_spec(trace).materialize(rng, horizon, cap)
-        raw = [(n.starts, n.ends, n.power, n.tag) for n in nodes]
-        for starts, ends, _power, _tag in raw:
-            starts.setflags(write=False)
-            ends.setflags(write=False)
+        flat = get_trace_spec(trace).materialize(rng, horizon, cap)
+        for arr in flat[:4]:
+            arr.setflags(write=False)
         if store is not None:
             try:
-                store.save(key, raw)
+                store.save(key, flat)
             except OSError:
                 pass  # a full/read-only disk must not fail the run
-        return _CacheEntry(raw=raw)
+        return flat
 
     # ------------------------------------------------------------------
     def keys(self) -> List[_TraceKey]:
@@ -256,6 +224,7 @@ class TraceCache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._nodes.clear()
         self._columns.clear()
         self._filings.clear()
 

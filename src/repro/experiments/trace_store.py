@@ -1,7 +1,7 @@
 """Content-addressed on-disk store of trace realizations (L2 tier).
 
 The in-process :class:`~repro.experiments.harness.TraceCache` (L1, an
-LRU of raw interval arrays) dies with its process, so every campaign
+LRU of columnar realizations) dies with its process, so every campaign
 shard — the executor shards by ``(trace, seed)`` precisely so each
 worker materializes a given environment once — still paid the dominant
 regeneration cost the first time it touched a realization.  This module
@@ -19,7 +19,8 @@ uses ``ZIP_STORED``), so the big ``starts``/``ends`` arrays are
 comes back as zero-copy read-only views in milliseconds instead of the
 seconds of renewal/gantt synthesis.  If the zip layout ever defeats the
 mmap fast path the loader falls back to a plain (still read-only)
-``np.load``.
+``np.load``; an archive neither can read (truncated, corrupt) is
+quarantined and reads as a miss, so the realization is regenerated.
 
 Storage layout per entry (one realization of N nodes):
 
@@ -48,8 +49,6 @@ import numpy as np
 __all__ = ["TraceStore", "default_trace_store", "default_trace_store_path",
            "generator_fingerprint", "set_default_trace_store"]
 
-#: raw realization: one (starts, ends, power, tag) tuple per node
-RawNodes = List[Tuple[np.ndarray, np.ndarray, float, str]]
 #: cache key: (trace, seed-stream, cap, horizon)
 TraceKey = Tuple[str, Tuple[int, ...], int, float]
 
@@ -150,6 +149,7 @@ class TraceStore:
         self.misses = 0         # lookups that found no file
         self.saves = 0          # realizations written
         self.mmap_fallbacks = 0  # loads that fell back to np.load
+        self.corrupt = 0        # unreadable archives quarantined
 
     # ------------------------------------------------------------------
     def path_for(self, key: TraceKey) -> str:
@@ -165,12 +165,24 @@ class TraceStore:
         This is the zero-loop fast path for columnar consumers
         (:meth:`~repro.infra.columns.NodeColumns.from_flat`); a 10^5
         -host load is five array handles instead of 10^5 per-node
-        view constructions.
+        view constructions.  An unreadable archive (truncated or
+        corrupt) is quarantined and counted, and reads as a miss so the
+        caller regenerates and re-archives the realization.
         """
         path = self.path_for(key)
         if not os.path.exists(path):
             self.misses += 1
             return None
+        try:
+            flat = self._read(path)
+        except (OSError, ValueError, EOFError, KeyError,
+                zipfile.BadZipFile):
+            self._quarantine(path)
+            return None
+        self.loads += 1
+        return flat
+
+    def _read(self, path: str) -> Tuple:
         try:
             arrays = _mmap_npz(path, ("starts", "ends", "bounds"))
         except Exception:
@@ -183,46 +195,36 @@ class TraceStore:
         with np.load(path, allow_pickle=False) as npz:
             powers = npz["powers"]
             tags = npz["tags"]
-        self.loads += 1
         return (arrays["starts"], arrays["ends"], arrays["bounds"],
                 powers, tuple(tags.tolist()))
 
-    def load(self, key: TraceKey) -> Optional[RawNodes]:
-        """The stored realization as read-only per-node views, or None."""
-        flat = self.load_flat(key)
-        if flat is None:
-            return None
-        starts, ends, bounds, powers, tags = flat
-        raw: RawNodes = []
-        for i in range(bounds.shape[0] - 1):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            # plain-ndarray views (not memmap subclass instances) so a
-            # Node rebuild's asarray() is an identity no-op and every
-            # execution shares the exact same array objects
-            raw.append((np.asarray(starts[lo:hi]), np.asarray(ends[lo:hi]),
-                        float(powers[i]), str(tags[i])))
-        return raw
+    def _quarantine(self, path: str) -> None:
+        """Move an unreadable archive aside (``.corrupt``, reclaimed by
+        :meth:`gc`) so the next :meth:`save` writes a fresh one."""
+        self.corrupt += 1
+        try:
+            os.replace(path, path + ".corrupt")
+        except OSError:
+            pass  # still unreadable next time: regenerated again
 
-    def save(self, key: TraceKey, raw: RawNodes) -> str:
-        """Archive one realization atomically; returns its path."""
+    def save(self, key: TraceKey, flat: Tuple) -> str:
+        """Archive one realization atomically; returns its path.
+
+        ``flat`` is ``(starts, ends, bounds, powers, tags)``, the layout
+        :meth:`load_flat` returns.
+        """
         path = self.path_for(key)
         if os.path.exists(path):
             return path
-        bounds = np.zeros(len(raw) + 1, dtype=np.int64)
-        for i, (s, _e, _p, _t) in enumerate(raw):
-            bounds[i + 1] = bounds[i] + s.shape[0]
-        starts = (np.concatenate([s for s, _e, _p, _t in raw])
-                  if raw else np.empty(0))
-        ends = (np.concatenate([e for _s, e, _p, _t in raw])
-                if raw else np.empty(0))
-        powers = np.array([p for _s, _e, p, _t in raw], dtype=float)
-        tags = np.array([t for _s, _e, _p, t in raw])
+        starts, ends, bounds, powers, tags = flat
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".npz.tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 np.savez(fh, starts=np.ascontiguousarray(starts, dtype=float),
                          ends=np.ascontiguousarray(ends, dtype=float),
-                         bounds=bounds, powers=powers, tags=tags)
+                         bounds=np.asarray(bounds, dtype=np.int64),
+                         powers=np.asarray(powers, dtype=float),
+                         tags=np.array(tags))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -237,7 +239,7 @@ class TraceStore:
     def _files(self) -> List[str]:
         try:
             return sorted(name for name in os.listdir(self.root)
-                          if name.endswith(".npz"))
+                          if name.endswith((".npz", ".npz.corrupt")))
         except OSError:
             return []
 
@@ -263,8 +265,9 @@ class TraceStore:
     def gc(self) -> Tuple[int, int]:
         """Drop realizations whose generator fingerprint is stale.
 
-        Stale files are unreachable anyway (every lookup path embeds
-        the current fingerprint); GC reclaims the disk.  Returns
+        Stale files — and quarantined ``.corrupt`` ones, which count as
+        stale — are unreachable anyway (every lookup path embeds the
+        current fingerprint); GC reclaims the disk.  Returns
         ``(files, bytes)`` removed.
         """
         removed = 0
@@ -289,6 +292,8 @@ class TraceStore:
                 f"+ {stale} stale entries, {self.file_bytes()} bytes")
         if self.mmap_fallbacks:
             text += f", {self.mmap_fallbacks} mmap fallbacks"
+        if self.corrupt:
+            text += f", {self.corrupt} corrupt files quarantined"
         return text
 
 

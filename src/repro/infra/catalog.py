@@ -2,8 +2,8 @@
 
 Every :class:`TraceSpec` carries the statistics published in Table 2 of
 the paper (mean/min/max available nodes, duration quartiles, node
-power) and knows how to *materialize* itself into a list of
-:class:`~repro.infra.node.Node` schedules:
+power) and knows how to *materialize* itself into columnar node
+schedules:
 
 * ``seti``, ``nd``      — desktop grids: quartile-fitted alternating
   renewal (`repro.infra.renewal`);
@@ -26,10 +26,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.infra.gantt import GanttTraceGenerator
-from repro.infra.node import Node
 from repro.infra.quantile import PiecewiseLogQuantile
 from repro.infra.renewal import RenewalTraceGenerator
-from repro.infra.spot import SpotMarket, SpotMarketParams, spot_nodes
+from repro.infra.spot import SpotMarket, SpotMarketParams, spot_columns
 
 __all__ = ["TraceSpec", "TRACE_NAMES", "get_trace_spec", "list_trace_specs"]
 
@@ -111,13 +110,18 @@ class TraceSpec:
         return 0.5 if self._gated() else 1.0
 
     def materialize(self, rng: np.random.Generator, horizon: float,
-                    max_nodes: Optional[int] = None) -> List[Node]:
+                    max_nodes: Optional[int] = None) -> Tuple:
         """Generate node schedules over ``[0, horizon)`` seconds.
 
         ``max_nodes`` caps the materialized population; when capped the
         per-node behaviour (churn, power) is unchanged, only the pool
         depth shrinks, which does not alter execution dynamics as long
         as the cap exceeds the BoT's peak worker demand.
+
+        Returns the columnar realization the trace cache and store keep,
+        ``(starts, ends, offsets, power, tags)``: node ``i`` owns
+        ``starts[offsets[i]:offsets[i+1]]``.  Object consumers wrap it
+        with :func:`~repro.infra.node.nodes_from_flat`.
         """
         natural = self.natural_node_count()
         n = natural if max_nodes is None else min(natural, int(max_nodes))
@@ -126,14 +130,17 @@ class TraceSpec:
         if self.family == SPOT:
             assert self.spot_budget is not None
             market = SpotMarket(rng, horizon, self.spot_params)
-            return spot_nodes(rng, market, self.spot_budget,
-                              self.power_mean, self.power_std,
-                              max_instances=n, tag=self.name)
-        if self._gated():
+            starts, ends, offsets, power = spot_columns(
+                rng, market, self.spot_budget, self.power_mean,
+                self.power_std, max_instances=n)
+        elif self._gated():
             gen = GanttTraceGenerator(self._renewal(),
                                       gate_depth=self.gate_depth)
-            return gen.generate(rng, n, horizon, tag=self.name)
-        return self._renewal().generate(rng, n, horizon, tag=self.name)
+            starts, ends, offsets, power = gen.generate(rng, n, horizon)
+        else:
+            starts, ends, offsets, power = self._renewal().generate(
+                rng, n, horizon)
+        return starts, ends, offsets, power, (self.name,) * n
 
     @property
     def dci_class(self) -> str:

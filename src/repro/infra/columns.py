@@ -15,7 +15,7 @@ pass per host — rebuilt for *every* execution sharing the realization.
 
 The interval arrays, offsets and powers are immutable and shared
 zero-copy across executions (they are validated once, in
-:meth:`NodeColumns.from_raw`); :meth:`NodeColumns.fresh` hands each
+:meth:`NodeColumns.from_flat`); :meth:`NodeColumns.fresh` hands each
 execution its own cursor array — the per-execution cost of "rebuild
 all nodes" collapses to one ``offsets[:-1].copy()``.
 
@@ -34,7 +34,7 @@ False (cloud workers stay :class:`~repro.infra.node.Node` objects).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,55 +60,17 @@ class NodeColumns:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_raw(cls, raw: Sequence[Tuple[np.ndarray, np.ndarray,
-                                          float, str]]) -> "NodeColumns":
-        """Build the immutable template from per-node raw arrays.
-
-        ``raw`` is the trace cache's entry format:
-        ``[(starts, ends, power, tag), ...]`` in node-id order.  The
-        intervals are validated once here (positive-length, sorted,
-        non-overlapping per node) instead of once per node per
-        execution.
-        """
-        n = len(raw)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        power = np.empty(n, dtype=np.float64)
-        if n:
-            np.cumsum([s.shape[0] for s, _e, _p, _t in raw],
-                      out=offsets[1:])
-            counts_e = np.fromiter((e.shape[0] for _s, e, _p, _t in raw),
-                                   dtype=np.int64, count=n)
-            if not np.array_equal(np.diff(offsets), counts_e):
-                raise ValueError("starts and ends must have identical "
-                                 "shapes")
-            power[:] = np.fromiter((p for _s, _e, p, _t in raw),
-                                   dtype=np.float64, count=n)
-            if not np.all(power > 0):
-                bad = float(power[np.argmax(~(power > 0))])
-                raise ValueError(f"node power must be positive, got {bad}")
-        total = int(offsets[-1])
-        if total:
-            starts = np.concatenate([s for s, _e, _p, _t in raw])
-            ends = np.concatenate([e for _s, e, _p, _t in raw])
-            starts = np.ascontiguousarray(starts, dtype=np.float64)
-            ends = np.ascontiguousarray(ends, dtype=np.float64)
-        else:
-            starts = np.empty(0, dtype=np.float64)
-            ends = np.empty(0, dtype=np.float64)
-        tags = tuple(tag for _s, _e, _p, tag in raw)
-        return cls._seal(starts, ends, offsets, power, tags)
-
-    @classmethod
     def from_flat(cls, starts: np.ndarray, ends: np.ndarray,
                   offsets: np.ndarray, power: np.ndarray,
                   tags: Sequence[str]) -> "NodeColumns":
         """Build the template from already-flat arrays, zero-copy.
 
-        This is the trace store's on-disk layout (``starts``/``ends``/
-        ``bounds``/``powers``/``tags``), so a store hit skips both the
-        per-node view split and the re-concatenation: the mmap-backed
-        arrays become the columns directly.  Validation is the same
-        vectorized pass as :meth:`from_raw`.
+        This is the layout generation produces and the trace store keeps
+        (``starts``/``ends``/``bounds``/``powers``/``tags``), so the
+        arrays — mmap-backed on a store hit — become the columns
+        directly.  The intervals are validated once here
+        (positive-length, sorted, non-overlapping per node) instead of
+        once per node per execution.
         """
         starts = np.ascontiguousarray(starts, dtype=np.float64)
         ends = np.ascontiguousarray(ends, dtype=np.float64)
@@ -119,13 +81,6 @@ class NodeColumns:
         if len(power) and not np.all(power > 0):
             bad = float(power[np.argmax(~(power > 0))])
             raise ValueError(f"node power must be positive, got {bad}")
-        return cls._seal(starts, ends, offsets, power, tuple(tags))
-
-    @classmethod
-    def _seal(cls, starts: np.ndarray, ends: np.ndarray,
-              offsets: np.ndarray, power: np.ndarray,
-              tags: Tuple[str, ...]) -> "NodeColumns":
-        """Shared interval validation + freeze for both constructors."""
         total = int(offsets[-1])
         if total:
             if not np.all(ends > starts):
@@ -140,7 +95,7 @@ class NodeColumns:
                                  "non-overlapping")
         for arr in (starts, ends, offsets, power):
             arr.setflags(write=False)
-        return cls(starts, ends, offsets, power, tags,
+        return cls(starts, ends, offsets, power, tuple(tags),
                    cursor=offsets[:-1].copy())
 
     def fresh(self) -> "NodeColumns":

@@ -23,24 +23,27 @@ proprietary data.
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Tuple
 
 import numpy as np
 
-from repro.infra import intervals as iv
-from repro.infra.node import Node
-from repro.infra.renewal import RenewalTraceGenerator
+from repro.infra.intervals import intersect_rows
+from repro.infra.renewal import FlatNodes, RenewalTraceGenerator
 
 __all__ = ["GanttTraceGenerator", "gate_windows"]
 
 
-def gate_windows(threshold: float, period: float, phase: float,
+def gate_windows(thresholds: np.ndarray, period: float, phase: float,
                  horizon: float, depth: float = 1.0,
-                 base: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+                 base: float = 0.5) -> Tuple[np.ndarray, np.ndarray]:
     """Time windows where ``base + (depth/2)*sin(2*pi*t/period + phase)``
-    exceeds ``threshold``.
+    exceeds each threshold, one row per threshold.
 
-    Returns a sorted disjoint interval set over [0, horizon).  With the
+    Row ``i`` is a sorted disjoint interval set over [0, horizon) for
+    ``thresholds[i]``, padded to a common width with empty sentinel
+    windows: ``(-inf, -inf)`` before its first window and
+    ``(+inf, +inf)`` after its last (the layout
+    :func:`~repro.infra.intervals.intersect_rows` consumes).  With the
     default ``base=0.5, depth=1.0`` the gate spans [0, 1] and threshold
     ``r`` is exceeded during an arc of each period.
     """
@@ -48,26 +51,30 @@ def gate_windows(threshold: float, period: float, phase: float,
         raise ValueError("period and horizon must be positive")
     amp = depth / 2.0
     lo, hi = base - amp, base + amp
-    if threshold <= lo:
-        return np.array([0.0]), np.array([horizon])
-    if threshold >= hi:
-        return np.empty(0), np.empty(0)
-    # sin(x) > s on (asin(s), pi - asin(s)) within each 2*pi cycle.
-    s = (threshold - base) / amp
-    a = math.asin(s)
+    thresholds = np.asarray(thresholds, dtype=float)
+    # one window per period at t = lo_off + k*period, k = -1, 0, 1, ...
+    # while t < horizon; one spare column past the last possible window
+    k = np.arange(-1, int(math.ceil(horizon / period)) + 2, dtype=float)
+    starts = np.full((thresholds.shape[0], k.shape[0]), np.inf)
+    ends = starts.copy()
+    full = thresholds <= lo
+    starts[full, 0] = 0.0
+    ends[full, 0] = horizon
+    arcs = np.flatnonzero(~full & (thresholds < hi))
+    # sin(x) > s on (asin(s), pi - asin(s)) within each 2*pi cycle; the
+    # asin and the float modulo stay scalar Python math
+    a = [math.asin(s) for s in ((thresholds[arcs] - base) / amp).tolist()]
     w = period / (2.0 * math.pi)
-    lo_off = (a * w - phase * w) % period
-    width = (math.pi - 2.0 * a) * w
-    # One window per period at t = lo_off + k*period, k = -1, 0, 1, ...
-    # while t < horizon; the arange form computes the exact same
-    # k*period + lo_off floats as the historical per-step loop.
-    n_max = max(0, int(math.ceil((horizon - lo_off) / period))) + 2
-    t = lo_off + np.arange(-1, n_max, dtype=float) * period
-    t = t[t < horizon]
-    e0 = t + width
-    keep = e0 > 0.0
-    starts = np.maximum(0.0, t[keep])
-    ends = np.minimum(horizon, e0[keep])
+    lo_off = np.array([(x * w - phase * w) % period for x in a])
+    width = (math.pi - 2.0 * np.array(a)) * w
+    t = lo_off[:, None] + k * period
+    e0 = t + width[:, None]
+    after = t >= horizon
+    before = ~after & ~(e0 > 0.0)
+    starts[arcs] = np.where(after, np.inf, np.where(
+        before, -np.inf, np.maximum(0.0, t)))
+    ends[arcs] = np.where(after, np.inf, np.where(
+        before, -np.inf, np.minimum(horizon, e0)))
     return starts, ends
 
 
@@ -105,24 +112,25 @@ class GanttTraceGenerator:
         return max(1, int(round(mean_available / (p * participation))))
 
     def generate(self, rng: np.random.Generator, n_nodes: int,
-                 horizon: float, tag: str = "", id_offset: int = 0) -> List[Node]:
-        """Materialize nodes: renewal schedule ∩ participation windows.
+                 horizon: float) -> FlatNodes:
+        """Columnar schedules: renewal churn ∩ participation windows.
 
-        The renewal schedules come from the bulk-vectorized generator;
-        only the (cheap) per-node window intersection runs in a loop.
+        Node ``i`` of ``n_nodes`` participates above threshold
+        ``(i + 0.5) / n_nodes``.  Every node's windows are computed in
+        one pass and intersected with the bulk renewal schedules in one
+        segmented pass; returns ``(starts, ends, offsets, power)`` like
+        :meth:`RenewalTraceGenerator.generate`.
         """
         if n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
         phase = rng.random() * 2.0 * math.pi
-        base_nodes = self.renewal.generate(rng, n_nodes, horizon,
-                                           tag=tag, id_offset=id_offset)
+        starts, ends, offsets, power = self.renewal.generate(
+            rng, n_nodes, horizon)
         if self.gate_depth <= 0.0:
-            return base_nodes
-        nodes = []
-        for i, bn in enumerate(base_nodes):
-            thr = (i + 0.5) / n_nodes
-            gs, ge = gate_windows(thr, self.gate_period, phase,
-                                  horizon, depth=self.gate_depth)
-            s, e = iv.intersect(bn.starts, bn.ends, gs, ge)
-            nodes.append(Node(id_offset + i, bn.power, s, e, tag=tag))
-        return nodes
+            return starts, ends, offsets, power
+        thresholds = (np.arange(n_nodes) + 0.5) / n_nodes
+        win_s, win_e = gate_windows(thresholds, self.gate_period, phase,
+                                    horizon, depth=self.gate_depth)
+        starts, ends, offsets = intersect_rows(starts, ends, offsets,
+                                               win_s, win_e)
+        return starts, ends, offsets, power

@@ -1,10 +1,10 @@
 """Interval-set algebra helpers (sorted, disjoint [start, end) arrays).
 
-Small two-pointer routines shared by the trace generators: the
-Grid'5000 model intersects per-node renewal schedules with day/night
-participation windows, and trace statistics need interval overlap
-counts.  All functions take and return parallel ``(starts, ends)``
-NumPy arrays that are sorted and pairwise disjoint.
+The Grid'5000 model intersects renewal schedules with day/night
+participation windows (:func:`intersect_rows`); :func:`validate` and
+:func:`total_length` check and measure one node's schedule.  Interval
+sets are parallel ``(starts, ends)`` NumPy arrays, sorted and pairwise
+disjoint.
 """
 
 from __future__ import annotations
@@ -13,9 +13,12 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["intersect", "intersect_scalar", "total_length", "validate"]
+__all__ = ["intersect_rows", "total_length", "validate"]
 
 Arr = np.ndarray
+
+#: intervals per vectorized block in :func:`intersect_rows`
+_BLOCK = 1 << 14
 
 
 def validate(starts: Arr, ends: Arr) -> None:
@@ -39,56 +42,67 @@ def total_length(starts: Arr, ends: Arr) -> float:
     return float(np.sum(np.asarray(ends) - np.asarray(starts)))
 
 
-def intersect(s1: Arr, e1: Arr, s2: Arr, e2: Arr) -> Tuple[Arr, Arr]:
-    """Intersection of two interval sets.
+def intersect_rows(starts: Arr, ends: Arr, offsets: Arr, win_starts: Arr,
+                   win_ends: Arr) -> Tuple[Arr, Arr, Arr]:
+    """Intersect every row of a columnar realization with its windows.
 
-    Vectorized pair enumeration: interval ``i`` of the first set
-    overlaps exactly the second-set slice ``[lo_i, hi_i)`` where
-    ``lo_i`` is the first ``j`` with ``e2[j] > s1[i]`` and ``hi_i`` the
-    first with ``s2[j] >= e1[i]`` (both sets are sorted and disjoint,
-    so the overlap region is one contiguous run).  Emits the same
-    ``(max(start), min(end))`` floats in the same order as the
-    historical two-pointer merge (:func:`intersect_scalar`) — only the
-    enumeration is batched.
+    Row ``r`` owns ``starts[offsets[r]:offsets[r+1]]`` and the window set
+    ``(win_starts[r], win_ends[r])``: sorted, disjoint, and padded with
+    empty sentinel windows — ``(-inf, -inf)`` before the first,
+    ``(+inf, +inf)`` after the last.  Interval ``m`` overlaps exactly the
+    window columns ``[lo, hi)``, where ``lo`` counts its row's windows
+    ending at or before ``starts[m]`` and ``hi`` those starting before
+    ``ends[m]`` (the pads fall on the right side of both counts, and
+    ``hi >= lo`` because a window ending by the start also starts before
+    the end); both are binary searches over the row.  The pairs come out
+    as ``(max(start), min(end))`` in row-major (interval, window) order:
+    per row, the pair set and order of the classic two-pointer merge.
+    Returns ``(starts, ends, offsets)`` of the intersection.
     """
-    s1 = np.asarray(s1, dtype=float)
-    e1 = np.asarray(e1, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-    if s1.size == 0 or s2.size == 0:
-        return np.empty(0), np.empty(0)
-    lo = np.searchsorted(e2, s1, side="right")
-    hi = np.searchsorted(s2, e1, side="left")
-    counts = hi - lo
-    np.maximum(counts, 0, out=counts)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0), np.empty(0)
-    i = np.repeat(np.arange(s1.shape[0]), counts)
-    # concatenated ranges lo[i]..hi[i): a ramp minus each row's offset
-    offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
-    j = np.arange(total) - np.repeat(offsets - lo, counts)
-    out_s = np.maximum(s1[i], s2[j])
-    out_e = np.minimum(e1[i], e2[j])
-    return out_s, out_e
+    n_rows, n_win = win_starts.shape
+    # +inf pads (below no finite value) to a power-of-two width whose
+    # binary-search steps sum past the last real window
+    width = 1 << n_win.bit_length()
+    pad_s = np.full((n_rows, width), np.inf)
+    pad_e = pad_s.copy()
+    pad_s[:, :n_win] = win_starts
+    pad_e[:, :n_win] = win_ends
+    pad_s, pad_e = pad_s.ravel(), pad_e.ravel()
+    rows = np.repeat(np.arange(n_rows), np.diff(offsets))
+    out_s, out_e = [np.empty(0)], [np.empty(0)]
+    counts = [np.empty(0, dtype=np.int64)]
+    # blocks of intervals keep every pass's temporaries cache-sized
+    for a in range(0, starts.shape[0], _BLOCK):
+        s, e = starts[a:a + _BLOCK], ends[a:a + _BLOCK]
+        base = rows[a:a + _BLOCK] * width
+        lo = _prefix_end(pad_e, base, width, s, np.less_equal)
+        n = _prefix_end(pad_s, base, width, e, np.less) - lo
+        # concatenated flat window ranges lo..hi: a ramp minus each
+        # interval's first output slot, plus its lo
+        m = np.repeat(np.arange(s.shape[0]), n)
+        w = np.arange(m.shape[0]) - np.repeat(np.cumsum(n) - n - lo, n)
+        out_s.append(np.maximum(s[m], pad_s[w]))
+        out_e.append(np.minimum(e[m], pad_e[w]))
+        counts.append(n)
+    bounds = np.zeros(starts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=bounds[1:])
+    return np.concatenate(out_s), np.concatenate(out_e), bounds[offsets]
 
 
-def intersect_scalar(s1: Arr, e1: Arr, s2: Arr, e2: Arr) -> Tuple[Arr, Arr]:
-    """Two-pointer reference for :func:`intersect` (kept for property
-    tests pinning the vectorized path float-for-float)."""
-    out_s: list[float] = []
-    out_e: list[float] = []
-    i = j = 0
-    n1, n2 = len(s1), len(s2)
-    while i < n1 and j < n2:
-        lo = max(s1[i], s2[j])
-        hi = min(e1[i], e2[j])
-        if hi > lo:
-            out_s.append(float(lo))
-            out_e.append(float(hi))
-        # advance whichever interval ends first
-        if e1[i] <= e2[j]:
-            i += 1
-        else:
-            j += 1
-    return np.asarray(out_s), np.asarray(out_e)
+def _prefix_end(flat_win: Arr, base: Arr, width: int, values: Arr,
+                below) -> Arr:
+    """Per value, the flat index just past the windows ``below`` it.
+
+    A value's windows are ``flat_win[base:base + width]``, non-decreasing
+    and ending in ``+inf``, so ``below(window, value)`` holds on a
+    prefix of them.  All values binary-search that prefix in lockstep,
+    one power-of-two step per round.
+    """
+    pos = base.copy()
+    step = width >> 1
+    while step:
+        # invariant: the windows at base..pos-1 are below the value
+        np.add(pos, step, out=pos,
+               where=below(flat_win[pos + (step - 1)], values))
+        step >>= 1
+    return pos

@@ -16,11 +16,11 @@ grid workers (paper §3.1).
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Node"]
+__all__ = ["Node", "nodes_from_flat"]
 
 
 class Node:
@@ -123,3 +123,18 @@ class Node:
         kind = "cloud" if self.cloud else "volatile"
         return (f"<Node {self.node_id} {kind} power={self.power:.0f} "
                 f"intervals={self.starts.shape[0]}>")
+
+
+def nodes_from_flat(starts: np.ndarray, ends: np.ndarray,
+                    offsets: np.ndarray, power: np.ndarray,
+                    tags: Optional[Sequence[str]] = None) -> List[Node]:
+    """A columnar realization as ``Node`` objects (ids ``0..n-1``) that
+    view, not copy, the arrays: node ``i`` owns
+    ``starts[offsets[i]:offsets[i+1]]``.  ``tags`` defaults to ``""``."""
+    bounds = np.asarray(offsets).tolist()
+    n = len(bounds) - 1
+    if tags is None:
+        tags = ("",) * n
+    return [Node(i, float(power[i]), starts[bounds[i]:bounds[i + 1]],
+                 ends[bounds[i]:bounds[i + 1]], tag=tags[i])
+            for i in range(n)]

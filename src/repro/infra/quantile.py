@@ -22,7 +22,7 @@ all three quartiles exact no matter the tail parameters.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +61,7 @@ class PiecewiseLogQuantile:
         self.quartiles = (q1, q2, q3)
         self.q_min = q_min
         self.q_max = q_max
+        self._mean: Optional[float] = None
 
     # ------------------------------------------------------------------
     def ppf(self, u: np.ndarray) -> np.ndarray:
@@ -76,10 +77,16 @@ class PiecewiseLogQuantile:
             raise ValueError("size must be non-negative")
         return self.ppf(rng.random(size))
 
-    def mean(self, n: int = 20001) -> float:
-        """Numerical mean of the distribution (trapezoid over the ppf)."""
-        u = np.linspace(0.0, 1.0, n)
-        return float(np.trapezoid(self.ppf(u), u))
+    def mean(self) -> float:
+        """Numerical mean of the distribution (trapezoid over the ppf).
+
+        Computed once per instance: the anchors never change, and trace
+        generation asks for the mean on every scalar fallback row.
+        """
+        if self._mean is None:
+            u = np.linspace(0.0, 1.0, 20001)
+            self._mean = float(np.trapezoid(self.ppf(u), u))
+        return self._mean
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         q1, q2, q3 = self.quartiles

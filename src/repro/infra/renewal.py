@@ -23,14 +23,16 @@ is the single-node stationary availability.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.infra.node import Node
 from repro.infra.quantile import PiecewiseLogQuantile
 
-__all__ = ["RenewalTraceGenerator", "stationary_availability"]
+__all__ = ["FlatNodes", "RenewalTraceGenerator", "stationary_availability"]
+
+#: one realization, columnar: ``(starts, ends, offsets, power)``
+FlatNodes = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def stationary_availability(avail: PiecewiseLogQuantile,
@@ -170,15 +172,20 @@ class RenewalTraceGenerator:
         return c[np.arange(n), np.minimum(idx, candidates - 1)]
 
     def generate(self, rng: np.random.Generator, n_nodes: int,
-                 horizon: float, tag: str = "", id_offset: int = 0) -> List[Node]:
-        """Materialize ``n_nodes`` nodes with schedules over [0, horizon).
+                 horizon: float) -> FlatNodes:
+        """Schedules of ``n_nodes`` nodes over [0, horizon), columnar.
+
+        Returns ``(starts, ends, offsets, power)``: node ``i`` owns
+        ``starts[offsets[i]:offsets[i+1]]`` (the layout of
+        :class:`~repro.infra.columns.NodeColumns` and the trace store).
 
         Bulk path: all nodes' cycle durations are drawn as matrices and
         turned into interval boundaries with row-wise cumulative sums
         (the 24k-node ``seti`` trace generates in seconds this way).
         Rows whose drawn cycles do not cover the horizon — rare, the
         cycle count carries a 1.5x margin — fall back to the exact
-        scalar walk.
+        scalar walk, one row at a time in row order after every bulk
+        draw, so the RNG draw sequence is the historical per-node one.
         """
         if n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
@@ -200,21 +207,27 @@ class RenewalTraceGenerator:
 
         starts, ends = self._assemble_bulk(in_avail, first, t0, av, un)
         covered = ends[:, -1] >= horizon
-        flat_s, flat_e, offsets = self._clip_rows(
+        flat_s, flat_e, bulk_offsets = self._clip_rows(
             starts[covered], ends[covered], horizon)
 
-        nodes: List[Node] = []
-        row = 0
-        for i in range(n):
-            if covered[i]:
-                s_arr = flat_s[offsets[row]:offsets[row + 1]]
-                e_arr = flat_e[offsets[row]:offsets[row + 1]]
-                row += 1
-            else:
-                s_arr, e_arr = self._node_schedule(rng, horizon)
-            nodes.append(Node(id_offset + i, float(powers[i]),
-                              s_arr, e_arr, tag=tag))
-        return nodes
+        fallback = np.flatnonzero(~covered)
+        walks = [self._node_schedule(rng, horizon) for _ in fallback]
+        counts = np.zeros(n, dtype=np.int64)
+        counts[covered] = np.diff(bulk_offsets)
+        counts[fallback] = [s.shape[0] for s, _e in walks]
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        out_s = np.empty(offsets[-1])
+        out_e = np.empty(offsets[-1])
+        # covered rows keep their row-major order, so one masked store
+        # places every bulk interval; fallback rows fill the gaps
+        from_bulk = np.repeat(covered, counts)
+        out_s[from_bulk] = flat_s
+        out_e[from_bulk] = flat_e
+        for i, (s_arr, e_arr) in zip(fallback, walks):
+            out_s[offsets[i]:offsets[i + 1]] = s_arr
+            out_e[offsets[i]:offsets[i + 1]] = e_arr
+        return out_s, out_e, offsets, powers
 
     @staticmethod
     def _assemble_bulk(in_avail: np.ndarray, first: np.ndarray,

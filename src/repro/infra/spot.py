@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.infra.node import Node
-
-__all__ = ["SpotMarket", "spot_intervals", "ladder_counts"]
+__all__ = ["SpotMarket", "spot_columns", "spot_intervals", "ladder_counts"]
 
 
 @dataclass(frozen=True)
@@ -157,18 +155,21 @@ def spot_intervals(market: SpotMarket, budget: float,
     return out
 
 
-def spot_nodes(rng: np.random.Generator, market: SpotMarket, budget: float,
-               power_mean: float, power_std: float,
-               max_instances: int | None = None, tag: str = "spot",
-               id_offset: int = 0) -> List[Node]:
-    """Materialize the bid ladder as :class:`Node` objects."""
+def spot_columns(rng: np.random.Generator, market: SpotMarket,
+                 budget: float, power_mean: float, power_std: float,
+                 max_instances: int | None = None
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The bid ladder as columns ``(starts, ends, offsets, power)``: slot
+    ``i`` (0-based, most robust first) owns ``starts[offsets[i]:
+    offsets[i+1]]``."""
     intervals = spot_intervals(market, budget, max_instances)
     n = len(intervals)
     if power_std > 0:
         powers = np.maximum(rng.normal(power_mean, power_std, n), 50.0)
     else:
-        powers = np.full(n, power_mean)
-    nodes = []
-    for i, (s, e) in enumerate(intervals):
-        nodes.append(Node(id_offset + i, float(powers[i]), s, e, tag=tag))
-    return nodes
+        powers = np.full(n, float(power_mean))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([s.shape[0] for s, _e in intervals], out=offsets[1:])
+    return (np.concatenate([np.empty(0), *(s for s, _e in intervals)]),
+            np.concatenate([np.empty(0), *(e for _s, e in intervals)]),
+            offsets, powers)

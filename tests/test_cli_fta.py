@@ -78,14 +78,15 @@ def test_fta_rejects_empty():
 def test_fta_loaded_trace_runs_in_simulation(tmp_path):
     """Exported synthetic traces replay identically through the stack."""
     from repro.infra.catalog import get_trace_spec
+    from repro.infra.node import nodes_from_flat
     from repro.infra.pool import NodePool
     from repro.middleware.xwhep import XWHepServer
     from repro.simulator.engine import Simulation
     from repro.workload.bot import BagOfTasks, Task
 
     spec = get_trace_spec("nd")
-    nodes = spec.materialize(np.random.default_rng(3), 2 * 86400.0,
-                             max_nodes=40)
+    nodes = nodes_from_flat(*spec.materialize(
+        np.random.default_rng(3), 2 * 86400.0, max_nodes=40))
     path = tmp_path / "nd.txt"
     save_trace(nodes, str(path))
     loaded = load_trace(str(path))

@@ -10,13 +10,14 @@ golden in the repo depends on it.
 import numpy as np
 import pytest
 
-from repro.infra.columns import ColumnNode, NodeColumns
+from repro.infra.columns import ColumnNode
 from repro.infra.node import Node
 from repro.infra.pool import NodePool
+from trace_oracle import columns_from_raw
 
 
 def _fleet_raw(seed: int, n: int = 30):
-    """Random per-node raw arrays in the trace cache's entry format."""
+    """Random per-node ``(starts, ends, power, tag)`` tuples."""
     rng = np.random.default_rng(seed)
     raw = []
     for i in range(n):
@@ -46,32 +47,32 @@ def _nodes_of(raw):
 # ------------------------------------------------------------- validation
 def test_from_raw_rejects_bad_power():
     with pytest.raises(ValueError, match="power"):
-        NodeColumns.from_raw([(np.array([0.0]), np.array([1.0]),
+        columns_from_raw([(np.array([0.0]), np.array([1.0]),
                                0.0, "")])
 
 
 def test_from_raw_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shapes"):
-        NodeColumns.from_raw([(np.array([0.0, 2.0]), np.array([1.0]),
+        columns_from_raw([(np.array([0.0, 2.0]), np.array([1.0]),
                                1.0, "")])
 
 
 def test_from_raw_rejects_empty_intervals():
     with pytest.raises(ValueError, match="positive-length"):
-        NodeColumns.from_raw([(np.array([1.0]), np.array([1.0]),
+        columns_from_raw([(np.array([1.0]), np.array([1.0]),
                                1.0, "")])
 
 
 def test_from_raw_rejects_overlap_within_a_node():
     with pytest.raises(ValueError, match="sorted"):
-        NodeColumns.from_raw([(np.array([0.0, 1.0]), np.array([2.0, 3.0]),
+        columns_from_raw([(np.array([0.0, 1.0]), np.array([2.0, 3.0]),
                                1.0, "")])
 
 
 def test_from_raw_allows_overlap_across_node_borders():
     """The sortedness check is per node; adjacent nodes' intervals are
     unrelated (every node starts its own timeline)."""
-    cols = NodeColumns.from_raw([
+    cols = columns_from_raw([
         (np.array([0.0]), np.array([10.0]), 1.0, "a"),
         (np.array([0.0]), np.array([5.0]), 1.0, "b"),
     ])
@@ -80,7 +81,7 @@ def test_from_raw_allows_overlap_across_node_borders():
 
 
 def test_template_arrays_are_immutable():
-    cols = NodeColumns.from_raw(_fleet_raw(1, n=5))
+    cols = columns_from_raw(_fleet_raw(1, n=5))
     with pytest.raises(ValueError):
         cols.starts[0] = -1.0
     with pytest.raises(ValueError):
@@ -88,7 +89,7 @@ def test_template_arrays_are_immutable():
 
 
 def test_fresh_shares_columns_but_not_cursor():
-    template = NodeColumns.from_raw(_fleet_raw(2, n=12))
+    template = columns_from_raw(_fleet_raw(2, n=12))
     a, b = template.fresh(), template.fresh()
     assert a.starts is b.starts and a.offsets is b.offsets
     assert a.cursor is not b.cursor
@@ -101,7 +102,7 @@ def test_fresh_shares_columns_but_not_cursor():
 # ------------------------------------------------------- Node-API parity
 def test_column_node_matches_node_answers():
     raw = _fleet_raw(3, n=20)
-    cols = NodeColumns.from_raw(raw).fresh()
+    cols = columns_from_raw(raw).fresh()
     nodes = _nodes_of(raw)
     probes = [0.0, 0.5, 1.0, 3.0, 7.5, 12.0, 30.0, 100.0]
     for i, node in enumerate(nodes):
@@ -154,7 +155,7 @@ def test_columnar_pool_replays_object_pool_exactly(seed):
     raw = _fleet_raw(100 + seed, n=40)
     obj_pool = NodePool(_nodes_of(raw),
                         rng=np.random.default_rng([seed, 7]))
-    col_pool = NodePool(NodeColumns.from_raw(raw).fresh(),
+    col_pool = NodePool(columns_from_raw(raw).fresh(),
                         rng=np.random.default_rng([seed, 7]))
     assert _drive(obj_pool) == _drive(col_pool)
 
@@ -166,7 +167,7 @@ def test_columnar_pool_handles_pre_zero_intervals():
     raw[4] = (np.array([-5.0, 2.0]), np.array([-1.0, 6.0]), 2.0, "warp")
     raw[7] = (np.array([-3.0]), np.array([-2.0]), 1.0, "gone")
     obj_pool = NodePool(_nodes_of(raw), rng=np.random.default_rng(5))
-    col_pool = NodePool(NodeColumns.from_raw(raw).fresh(),
+    col_pool = NodePool(columns_from_raw(raw).fresh(),
                         rng=np.random.default_rng(5))
     assert _drive(obj_pool) == _drive(col_pool)
 
@@ -175,7 +176,7 @@ def test_acquired_view_identity_is_stable():
     """The pool hands out ONE ColumnNode per id (cursor aliasing would
     corrupt scans if two views existed for one node)."""
     raw = [(np.array([0.0]), np.array([1e9]), 1.0, "a")]
-    pool = NodePool(NodeColumns.from_raw(raw).fresh(),
+    pool = NodePool(columns_from_raw(raw).fresh(),
                     rng=np.random.default_rng(0))
     node, _end = pool.acquire(0.0)
     pool.release(node, 1.0)
@@ -188,7 +189,7 @@ def test_cloud_nodes_coexist_with_columnar_members():
     cloud-vs-regular pick still works over the hybrid pool."""
     raw = [(np.array([0.0]), np.array([1e9]), 1.0, f"h{i}")
            for i in range(3)]
-    pool = NodePool(NodeColumns.from_raw(raw).fresh(),
+    pool = NodePool(columns_from_raw(raw).fresh(),
                     rng=np.random.default_rng(1),
                     cloud_poll_weight=10.0)
     cloud = Node.stable(10_000, 5.0)
@@ -208,7 +209,7 @@ def test_pool_from_filing_replays_fresh_filing_exactly():
     same heaps — so the RNG draw sequence (and every fixed-seed
     golden) is unchanged when the harness caches the filing."""
     raw = _fleet_raw(300, n=40)
-    template = NodeColumns.from_raw(raw)
+    template = columns_from_raw(raw)
     donor = NodePool(template.fresh(), rng=np.random.default_rng(0))
     filing = donor.capture_filing()
     fresh = NodePool(template.fresh(), rng=np.random.default_rng([9, 1]))
@@ -228,7 +229,7 @@ def test_capture_filing_rejects_unvectorized_pools():
     # filing path, which advances cursors — also not capturable
     raw = _fleet_raw(200, n=10)
     raw[7] = (np.array([-3.0]), np.array([-2.0]), 1.0, "gone")
-    col_pool = NodePool(NodeColumns.from_raw(raw).fresh(),
+    col_pool = NodePool(columns_from_raw(raw).fresh(),
                         rng=np.random.default_rng(0))
     assert not col_pool.vector_filed
     with pytest.raises(ValueError, match="not capturable"):

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.infra.columns import NodeColumns
 from repro.infra.node import Node
 from repro.infra.pool import NodePool
 from repro.middleware import make_server
@@ -27,6 +26,7 @@ from repro.middleware.base import TaskState
 from repro.middleware.columns import TaskColumns
 from repro.simulator.engine import Simulation
 from repro.workload.bot import BagOfTasks, Task
+from trace_oracle import columns_from_raw
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +54,7 @@ def _rand_fleet(seed: int, n: int, ready_at_zero: bool = False):
 def _pool_pair(fleet_seed: int, n: int, rng_seed: int):
     """Two structurally identical columnar pools with equal RNG state."""
     raw = _rand_fleet(fleet_seed, n)
-    template = NodeColumns.from_raw(raw)
+    template = columns_from_raw(raw)
     return (NodePool(template.fresh(), rng=np.random.default_rng(rng_seed)),
             NodePool(template.fresh(), rng=np.random.default_rng(rng_seed)))
 
@@ -90,7 +90,7 @@ def _run_world(kind: str, bulk: bool, fleet_seed: int, n_nodes: int,
                ready_at_zero: bool = False):
     """Assemble and drain one world; return its full transcript."""
     raw = _rand_fleet(fleet_seed, n_nodes, ready_at_zero)
-    template = NodeColumns.from_raw(raw)
+    template = columns_from_raw(raw)
     sim = Simulation(horizon=400_000.0)
     pool = NodePool(template.fresh(),
                     rng=np.random.default_rng(rng_seed))
@@ -273,7 +273,7 @@ def test_stop_hook_tears_down_harness_servers():
 
     harness = ScenarioHarness(horizon=1_000_000.0)
     raw = _rand_fleet(11, 6)
-    template = NodeColumns.from_raw(raw)
+    template = columns_from_raw(raw)
     sim = harness.sim
     pool = NodePool(template.fresh(), rng=np.random.default_rng(2))
     server = make_server("xwhep", sim, pool)

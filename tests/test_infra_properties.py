@@ -6,23 +6,30 @@ The drift goldens pin end-to-end results; these tests pin the
 re-associates a float sum or drops a boundary case fails here with a
 usable message instead of as an opaque golden diff:
 
-* ``intervals.intersect`` (searchsorted pair enumeration) against the
-  historical two-pointer merge;
-* ``gantt.gate_windows`` (arange form) against the per-step loop;
+* ``intervals.intersect_rows`` (segmented pair enumeration) against the
+  two-pointer merge of :mod:`trace_oracle`, row by row;
+* ``gantt.gate_windows`` (one row per threshold) against the per-step
+  loop of :mod:`trace_oracle`;
 * ``RenewalTraceGenerator``'s bulk boundary assembly + clipping
   against a scalar per-node walk using the same float association.
+
+``tests/test_trace_oracle.py`` pins whole realizations against the
+per-node path.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.infra import intervals as iv
 from repro.infra.catalog import get_trace_spec
 from repro.infra.gantt import gate_windows
+from repro.infra.node import nodes_from_flat
 from repro.infra.renewal import RenewalTraceGenerator
+from trace_oracle import gate_windows_scalar, intersect_scalar
 
 
 # --------------------------------------------------------------- helpers
@@ -34,67 +41,79 @@ def _interval_set(rng, n):
 
 
 # ------------------------------------------------------------- intersect
-@given(seed=st.integers(0, 2**32 - 1),
-       n1=st.integers(0, 40), n2=st.integers(0, 40))
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6),
+       n1=st.integers(0, 40), n2=st.integers(0, 12))
 @settings(max_examples=120, deadline=None)
-def test_intersect_matches_two_pointer_reference(seed, n1, n2):
+def test_intersect_matches_two_pointer_reference(seed, rows, n1, n2):
+    """Rows of different lengths, windows padded by sentinels on both
+    sides, against one two-pointer merge per row."""
+    _check_intersect(seed, rows, n1, n2)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_intersect_blocks_split_rows_anywhere(monkeypatch, block):
+    """Tiny interval blocks cut rows mid-way; the output is unchanged."""
+    monkeypatch.setattr(iv, "_BLOCK", block)
+    for seed in range(40):
+        _check_intersect(seed, rows=4, n1=9, n2=5)
+
+
+def _check_intersect(seed, rows, n1, n2):
     rng = np.random.default_rng(seed)
-    s1, e1 = _interval_set(rng, n1)
-    s2, e2 = _interval_set(rng, n2)
-    vs, ve = iv.intersect(s1, e1, s2, e2)
-    rs, re_ = iv.intersect_scalar(s1, e1, s2, e2)
-    assert vs.tobytes() == rs.tobytes()
-    assert ve.tobytes() == re_.tobytes()
+    sets = [_interval_set(rng, int(rng.integers(0, n1 + 1)))
+            for _ in range(rows)]
+    wins = [_interval_set(rng, int(rng.integers(0, n2 + 1)))
+            for _ in range(rows)]
+    width = n2 + 2
+    win_s = np.full((rows, width), np.inf)
+    win_e = np.full((rows, width), np.inf)
+    for r, (ws, we) in enumerate(wins):
+        lead = int(rng.integers(0, width - ws.size + 1))
+        win_s[r, :lead] = win_e[r, :lead] = -np.inf
+        win_s[r, lead:lead + ws.size] = ws
+        win_e[r, lead:lead + we.size] = we
+    offsets = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum([s.size for s, _e in sets], out=offsets[1:])
+    starts = np.concatenate([s for s, _e in sets])
+    ends = np.concatenate([e for _s, e in sets])
+    out_s, out_e, out_off = iv.intersect_rows(starts, ends, offsets,
+                                              win_s, win_e)
+    for r in range(rows):
+        rs, re_ = intersect_scalar(*sets[r], *wins[r])
+        assert out_s[out_off[r]:out_off[r + 1]].tobytes() == rs.tobytes()
+        assert out_e[out_off[r]:out_off[r + 1]].tobytes() == re_.tobytes()
 
 
 def test_intersect_with_touching_boundaries_emits_nothing():
     # adjacent-only overlap (hi == lo) must not produce empty intervals
-    s, e = iv.intersect(np.array([0.0, 10.0]), np.array([5.0, 15.0]),
-                        np.array([5.0]), np.array([10.0]))
-    assert s.size == 0 and e.size == 0
+    s, e, offsets = iv.intersect_rows(
+        np.array([0.0, 10.0]), np.array([5.0, 15.0]), np.array([0, 2]),
+        np.array([[5.0]]), np.array([[10.0]]))
+    assert s.size == 0 and e.size == 0 and offsets.tolist() == [0, 0]
 
 
 # ---------------------------------------------------------- gate_windows
-def _gate_windows_scalar(threshold, period, phase, horizon,
-                         depth=1.0, base=0.5):
-    """The historical per-step loop, kept verbatim as the reference."""
-    amp = depth / 2.0
-    lo, hi = base - amp, base + amp
-    if threshold <= lo:
-        return np.array([0.0]), np.array([horizon])
-    if threshold >= hi:
-        return np.empty(0), np.empty(0)
-    s = (threshold - base) / amp
-    a = math.asin(s)
-    w = period / (2.0 * math.pi)
-    lo_off = (a * w - phase * w) % period
-    width = (math.pi - 2.0 * a) * w
-    starts, ends = [], []
-    k0 = -1
-    t = lo_off + k0 * period
-    while t < horizon:
-        s0, e0 = t, t + width
-        if e0 > 0:
-            starts.append(max(0.0, s0))
-            ends.append(min(horizon, e0))
-        k0 += 1
-        t = lo_off + k0 * period
-    return np.asarray(starts), np.asarray(ends)
-
-
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_gate_windows_matches_scalar_loop(seed):
     rng = np.random.default_rng(seed)
-    thr = float(rng.random())
+    thresholds = rng.random(int(rng.integers(1, 8)))
     period = float(rng.uniform(10.0, 2e5))
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     horizon = float(rng.uniform(50.0, 2e6))
     depth = float(rng.uniform(0.05, 1.0))
-    vs, ve = gate_windows(thr, period, phase, horizon, depth=depth)
-    rs, re_ = _gate_windows_scalar(thr, period, phase, horizon, depth=depth)
-    assert vs.tobytes() == rs.tobytes()
-    assert ve.tobytes() == re_.tobytes()
+    vs, ve = gate_windows(thresholds, period, phase, horizon, depth=depth)
+    for row_s, row_e, thr in zip(vs, ve, thresholds.tolist()):
+        rs, re_ = gate_windows_scalar(thr, period, phase, horizon,
+                                      depth=depth)
+        # the real windows, padded by -inf sentinels before, +inf after
+        lead = int(np.sum(row_s == -np.inf))
+        pads = (np.full(lead, -np.inf),
+                np.full(row_s.size - lead - rs.size, np.inf))
+        assert row_s.tobytes() == np.concatenate(
+            (pads[0], rs, pads[1])).tobytes()
+        assert row_e.tobytes() == np.concatenate(
+            (pads[0], re_, pads[1])).tobytes()
 
 
 # ------------------------------------------------------- renewal bulk path
@@ -178,7 +197,8 @@ def test_generate_bulk_and_fallback_agree_on_interval_invariants():
     clipped to [0, horizon], whichever path produced it."""
     spec = get_trace_spec("nd")
     rng = np.random.default_rng(11)
-    nodes = spec.materialize(rng, horizon=86400.0, max_nodes=60)
+    nodes = nodes_from_flat(*spec.materialize(rng, horizon=86400.0,
+                                              max_nodes=60))
     assert nodes
     for node in nodes:
         iv.validate(node.starts, node.ends)

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from repro.infra import intervals as iv
 from repro.infra.catalog import TRACE_NAMES, get_trace_spec, list_trace_specs
 from repro.infra.gantt import GanttTraceGenerator, gate_windows
+from repro.infra.node import nodes_from_flat
 from repro.infra.quantile import PiecewiseLogQuantile
 from repro.infra.renewal import RenewalTraceGenerator, stationary_availability
-from repro.infra.spot import SpotMarket, SpotMarketParams, spot_intervals, spot_nodes
+from repro.infra.spot import SpotMarket, SpotMarketParams, spot_columns, spot_intervals
 from repro.infra.stats import available_count_series, measure_trace
 
 DAY = 86400.0
@@ -22,23 +23,38 @@ def small_renewal(power_std=0.0):
     return RenewalTraceGenerator(av, un, 1000.0, power_std)
 
 
+def _intersect(s1, e1, s2, e2):
+    """One-row :func:`intervals.intersect_rows` call."""
+    s, e, _ = iv.intersect_rows(s1, e1, np.array([0, s1.size]),
+                                s2[None, :], e2[None, :])
+    return s, e
+
+
+def _windows(threshold, period, phase, horizon, depth=1.0):
+    """One threshold's gate windows, sentinel pads dropped."""
+    s, e = gate_windows(np.array([threshold]), period, phase, horizon,
+                        depth=depth)
+    real = np.isfinite(s[0])
+    return s[0][real], e[0][real]
+
+
 # ---------------------------------------------------------------- intervals
 def test_intersect_basic():
-    s, e = iv.intersect(np.array([0.0, 20.0]), np.array([10.0, 30.0]),
-                        np.array([5.0]), np.array([25.0]))
+    s, e = _intersect(np.array([0.0, 20.0]), np.array([10.0, 30.0]),
+                      np.array([5.0]), np.array([25.0]))
     assert list(s) == [5.0, 20.0]
     assert list(e) == [10.0, 25.0]
 
 
 def test_intersect_disjoint():
-    s, e = iv.intersect(np.array([0.0]), np.array([10.0]),
-                        np.array([20.0]), np.array([30.0]))
+    s, e = _intersect(np.array([0.0]), np.array([10.0]),
+                      np.array([20.0]), np.array([30.0]))
     assert s.size == 0
 
 
 def test_intersect_identity():
     a_s, a_e = np.array([1.0, 5.0]), np.array([3.0, 9.0])
-    s, e = iv.intersect(a_s, a_e, np.array([0.0]), np.array([100.0]))
+    s, e = _intersect(a_s, a_e, np.array([0.0]), np.array([100.0]))
     assert np.allclose(s, a_s) and np.allclose(e, a_e)
 
 
@@ -68,7 +84,7 @@ def test_nodes_for_mean_scales_inverse_to_p():
 
 def test_generated_schedules_are_valid_interval_sets():
     gen = small_renewal()
-    nodes = gen.generate(np.random.default_rng(0), 50, 2 * DAY)
+    nodes = nodes_from_flat(*gen.generate(np.random.default_rng(0), 50, 2 * DAY))
     assert len(nodes) == 50
     for n in nodes:
         iv.validate(n.starts, n.ends)
@@ -79,15 +95,16 @@ def test_generated_schedules_are_valid_interval_sets():
 def test_generated_mean_count_matches_target():
     gen = small_renewal()
     n_nodes = gen.nodes_for_mean(120)
-    nodes = gen.generate(np.random.default_rng(1), n_nodes, 3 * DAY)
+    nodes = nodes_from_flat(*gen.generate(np.random.default_rng(1), n_nodes,
+                                  3 * DAY))
     counts = available_count_series(nodes, 3 * DAY, step=300.0)
     assert np.mean(counts) == pytest.approx(120, rel=0.15)
 
 
 def test_generation_deterministic_per_seed():
     gen = small_renewal()
-    a = gen.generate(np.random.default_rng(9), 5, DAY)
-    b = gen.generate(np.random.default_rng(9), 5, DAY)
+    a = nodes_from_flat(*gen.generate(np.random.default_rng(9), 5, DAY))
+    b = nodes_from_flat(*gen.generate(np.random.default_rng(9), 5, DAY))
     for x, y in zip(a, b):
         assert np.allclose(x.starts, y.starts)
         assert np.allclose(x.ends, y.ends)
@@ -117,17 +134,17 @@ def test_invalid_generate_args():
 
 # ------------------------------------------------------------------- gantt
 def test_gate_windows_always_open_below_range():
-    s, e = gate_windows(0.0, DAY, 0.0, 3 * DAY)
+    s, e = _windows(0.0, DAY, 0.0, 3 * DAY)
     assert list(s) == [0.0] and list(e) == [3 * DAY]
 
 
 def test_gate_windows_never_open_above_range():
-    s, e = gate_windows(1.0, DAY, 0.0, 3 * DAY)
+    s, e = _windows(1.0, DAY, 0.0, 3 * DAY)
     assert s.size == 0
 
 
 def test_gate_windows_daily_arcs():
-    s, e = gate_windows(0.5, DAY, 0.0, 3 * DAY)
+    s, e = _windows(0.5, DAY, 0.0, 3 * DAY)
     iv.validate(s, e)
     # threshold at the midline: open half of each day
     assert iv.total_length(s, e) == pytest.approx(1.5 * DAY, rel=0.02)
@@ -137,14 +154,14 @@ def test_gate_windows_daily_arcs():
 def test_gate_window_width_decreases_with_threshold():
     w = []
     for thr in (0.2, 0.5, 0.8):
-        s, e = gate_windows(thr, DAY, 0.0, 10 * DAY)
+        s, e = _windows(thr, DAY, 0.0, 10 * DAY)
         w.append(iv.total_length(s, e))
     assert w[0] > w[1] > w[2]
 
 
 def test_gantt_generator_respects_gate():
     gen = GanttTraceGenerator(small_renewal(), gate_depth=1.0)
-    nodes = gen.generate(np.random.default_rng(4), 40, 3 * DAY)
+    nodes = nodes_from_flat(*gen.generate(np.random.default_rng(4), 40, 3 * DAY))
     for n in nodes:
         iv.validate(n.starts, n.ends)
     # high-threshold nodes participate less
@@ -155,7 +172,7 @@ def test_gantt_generator_respects_gate():
 
 def test_gantt_depth_zero_is_plain_renewal():
     gen = GanttTraceGenerator(small_renewal(), gate_depth=0.0)
-    nodes = gen.generate(np.random.default_rng(5), 10, DAY)
+    nodes = nodes_from_flat(*gen.generate(np.random.default_rng(5), 10, DAY))
     assert all(n.starts.size > 0 for n in nodes)
 
 
@@ -202,8 +219,7 @@ def test_spot_correlated_preemption():
 
 def test_spot_nodes_power_distribution():
     m = SpotMarket(np.random.default_rng(4), DAY)
-    nodes = spot_nodes(np.random.default_rng(5), m, 10.0, 3000.0, 300.0)
-    powers = [n.power for n in nodes]
+    powers = spot_columns(np.random.default_rng(5), m, 10.0, 3000.0, 300.0)[3]
     assert np.mean(powers) == pytest.approx(3000, rel=0.1)
 
 
@@ -244,7 +260,7 @@ def test_catalog_table2_values_verbatim():
 def test_every_spec_materializes_capped():
     rng = np.random.default_rng(8)
     for spec in list_trace_specs():
-        nodes = spec.materialize(rng, DAY, max_nodes=30)
+        nodes = nodes_from_flat(*spec.materialize(rng, DAY, max_nodes=30))
         assert 0 < len(nodes) <= 30
         for n in nodes:
             iv.validate(n.starts, n.ends)
@@ -288,7 +304,8 @@ def test_measure_trace_censors_boundary_intervals():
 
 def test_measure_trace_quartiles_close_to_targets():
     spec = get_trace_spec("nd")
-    nodes = spec.materialize(np.random.default_rng(10), 4 * DAY)
+    nodes = nodes_from_flat(*spec.materialize(np.random.default_rng(10),
+                                              4 * DAY))
     st = measure_trace(nodes, 4 * DAY)
     assert st.mean_nodes == pytest.approx(spec.mean_nodes, rel=0.15)
     assert st.avail_quartiles[1] == pytest.approx(
@@ -300,7 +317,7 @@ def test_measure_trace_quartiles_close_to_targets():
 @given(seed=st.integers(0, 10_000))
 def test_property_renewal_intervals_sorted_disjoint(seed):
     gen = small_renewal()
-    nodes = gen.generate(np.random.default_rng(seed), 3, DAY)
+    nodes = nodes_from_flat(*gen.generate(np.random.default_rng(seed), 3, DAY))
     for n in nodes:
         iv.validate(n.starts, n.ends)
 

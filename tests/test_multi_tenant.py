@@ -241,14 +241,15 @@ def test_pooled_order_launches_workers_without_arbiter():
     from repro.cloud.registry import get_driver
     from repro.core.service import SpeQuloS
     from repro.infra.catalog import get_trace_spec
+    from repro.infra.node import nodes_from_flat
     from repro.infra.pool import NodePool
     from repro.middleware import make_server
     from repro.simulator.engine import Simulation
     from repro.workload.bot import BagOfTasks
 
     sim = Simulation(horizon=5 * 86400.0)
-    nodes = get_trace_spec("nd").materialize(
-        np.random.default_rng(1), 5 * 86400.0, 40)
+    nodes = nodes_from_flat(*get_trace_spec("nd").materialize(
+        np.random.default_rng(1), 5 * 86400.0, 40))
     server = make_server("xwhep", sim,
                          NodePool(nodes, rng=np.random.default_rng(2)))
     service = SpeQuloS(sim)  # no arbiter

@@ -33,13 +33,16 @@ def _realize(cache=None):
 def test_save_load_roundtrip_bit_identical(store):
     nodes, _ = _realize()
     assert store.saves == 1
-    raw = store.load(KEY)
-    assert raw is not None and len(raw) == len(nodes)
-    for node, (starts, ends, power, tag) in zip(nodes, raw):
-        assert starts.tobytes() == node.starts.tobytes()
-        assert ends.tobytes() == node.ends.tobytes()
-        assert power == node.power
-        assert tag == node.tag
+    flat = store.load_flat(KEY)
+    assert flat is not None
+    starts, ends, bounds, powers, tags = flat
+    assert len(bounds) - 1 == len(nodes)
+    for i, node in enumerate(nodes):
+        lo, hi = bounds[i], bounds[i + 1]
+        assert starts[lo:hi].tobytes() == node.starts.tobytes()
+        assert ends[lo:hi].tobytes() == node.ends.tobytes()
+        assert powers[i] == node.power
+        assert tags[i] == node.tag
 
 
 def test_fresh_cache_promotes_from_disk_without_regenerating(store):
@@ -56,14 +59,13 @@ def test_fresh_cache_promotes_from_disk_without_regenerating(store):
 
 
 def test_missing_key_counts_a_miss(store):
-    assert store.load(("nd", (99,), 5, 3600.0)) is None
+    assert store.load_flat(("nd", (99,), 5, 3600.0)) is None
     assert store.misses == 1
 
 
 def test_save_is_idempotent(store):
     _realize()
-    raw = store.load(KEY)
-    store.save(KEY, raw)
+    store.save(KEY, store.load_flat(KEY))
     assert store.saves == 1
     current, stale = store.entries()
     assert (current, stale) == (1, 0)
@@ -100,7 +102,7 @@ def test_stale_fingerprint_entries_are_unreachable_and_gced(store):
     path = store.path_for(KEY)
     stale = path.replace(store.fingerprint + ".npz", "deadbeef0000.npz")
     os.rename(path, stale)
-    assert store.load(KEY) is None          # content-addressed: stale
+    assert store.load_flat(KEY) is None     # content-addressed: stale
     assert store.entries() == (0, 1)
     removed, nbytes = store.gc()
     assert removed == 1 and nbytes > 0
@@ -135,11 +137,37 @@ def test_summary_reports_two_tier_stats(store):
 # ------------------------------------------------------------- mmap path
 def test_load_uses_mmap_not_fallback(store):
     _realize()
-    raw = store.load(KEY)
+    flat = store.load_flat(KEY)
     assert store.mmap_fallbacks == 0
-    assert raw[0][0].base is not None  # views into the mapped archive
+    assert isinstance(flat[0], np.memmap)  # mapped from the archive
 
 
 def test_empty_realization_roundtrips(store):
-    store.save(("empty", (), 0, 1.0), [])
-    assert store.load(("empty", (), 0, 1.0)) == []
+    empty = np.empty(0)
+    store.save(("empty", (), 0, 1.0),
+               (empty, empty, np.zeros(1, dtype=np.int64), empty, ()))
+    starts, ends, bounds, powers, tags = store.load_flat(("empty", (), 0, 1.0))
+    assert starts.size == ends.size == powers.size == 0
+    assert bounds.tolist() == [0] and tags == ()
+
+
+# ------------------------------------------------------------- recovery
+def test_truncated_archive_is_quarantined_and_regenerated(store):
+    nodes1, _ = _realize()
+    path = store.path_for(KEY)
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) // 2)
+    assert store.load_flat(KEY) is None        # no exception
+    assert store.corrupt == 1
+    assert not os.path.exists(path)
+    assert os.path.exists(path + ".corrupt")
+    assert "1 corrupt files quarantined" in store.summary()
+    # a fresh L1 regenerates the realization and re-archives it
+    nodes2, cache = _realize()
+    assert cache.disk_hits == 0 and store.saves == 2
+    for a, b in zip(nodes1, nodes2):
+        assert a.starts.tobytes() == b.starts.tobytes()
+    assert store.load_flat(KEY) is not None
+    # the quarantined copy is unreachable; gc reclaims it
+    assert store.gc()[0] == 1
+    assert not os.path.exists(path + ".corrupt")
