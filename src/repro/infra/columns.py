@@ -134,6 +134,31 @@ class NodeColumns:
             return None
         return (float(self.starts[cur]), float(self.ends[cur]))
 
+    def next_available_many(self, ids: np.ndarray, t: float
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`next_available` for many nodes at once.
+
+        Returns the ``(starts, ends)`` of each node's first interval
+        with end > t, NaN where none is left, and leaves every cursor
+        exactly where :meth:`advance` would.  A node's ends strictly
+        increase, so the intervals :meth:`advance` steps over are
+        exactly those of its remaining intervals that ended by ``t``:
+        one pass over all the nodes' remaining intervals counts them.
+        """
+        ends = self.ends
+        lo = self.cursor[ids]
+        hi = self.offsets[ids + 1]
+        n = hi - lo  # remaining intervals per node, laid end to end
+        stop = np.cumsum(n)
+        first = stop - n
+        flat = np.arange(n.sum()) + np.repeat(lo - first, n)
+        ended = np.concatenate(([0], np.cumsum(ends[flat] <= t)))
+        lo += ended[stop] - ended[first]
+        self.cursor[ids] = lo
+        found = lo < hi
+        return (np.where(found, self.starts.take(lo, mode="clip"), np.nan),
+                np.where(found, ends.take(lo, mode="clip"), np.nan))
+
     # ------------------------------------------------------------------
     def first_interval(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ids, start, end) of every node's first interval.

@@ -38,25 +38,38 @@ dominated the dispatch profile.  The filing now lands in flat sorted
 NumPy arrays instead (the *epoch*): ``_fut_start``/``_fut_id``/
 ``_fut_end`` sorted by ``(start, id)`` with a cursor ``_fut_pos``, and
 ``_stale_end``/``_stale_id`` sorted by ``(end, id)`` with
-``_stale_pos``.  Promotion and stale sweeping over the epoch are one
-``searchsorted`` cut plus a bulk refile.  Nodes refiled *after* the
-epoch (release/preempt churn) go to small overflow heaps (``_future``,
-``_stale``) exactly as before.  **Draw-order invariant:** the
-historical heaps popped in ascending ``(start, id)`` / ``(end, id)``
-key order — a property of the key multiset, not the heap layout — and
-the epoch arrays are sorted by those same keys, so processing an
-array cut front-to-back, or merging array head against heap head when
-both sides are due (:meth:`_promote_merge`, :meth:`_sweep_merge`),
-re-files nodes in the byte-identical order.  For the same reason a
-bulk batch of pushes may be replaced by ``extend + heapify``: heapq's
-pop sequence depends only on the key multiset (duplicate keys here are
-fully identical tuples, hence interchangeable).
+``_stale_pos``.  Nodes refiled *after* the epoch (release/preempt
+churn, sweep refiles) go to overflow heaps (``_future``, ``_stale``)
+exactly as before.  **Draw-order invariant:** the historical heaps
+popped in ascending ``(start, id)`` / ``(end, id)`` key order — a
+property of the key multiset, not the heap layout — and the epoch
+arrays are sorted by those same keys, so a probe that takes the epoch
+cut plus the due heap entries and merges them on that key, epoch first
+on a tie, re-files nodes in the byte-identical order.  For the same
+reason a batch of pushes may be replaced by ``extend + heapify``:
+heapq's pop sequence depends only on the key multiset (duplicate keys
+here are fully identical tuples, hence interchangeable).
+
+Batched probes: the probes — :meth:`has_ready`, :meth:`idle_count`,
+:meth:`next_future_start` — run :meth:`_promote` then
+:meth:`_sweep_stale`, and each handles its whole due slice at once.
+The epoch cut and the due heap entries are merged by one stable sort
+(a linear merge of two sorted runs), expired entries are checked
+against the ready index in one pass, every expired columnar host's
+cursor moves in one
+:meth:`~repro.infra.columns.NodeColumns.next_available_many` call, and
+the results are filed with one dict update, one list extend and one
+batched push per heap.  A refile of fewer than ``_BATCH_MIN`` hosts, or
+one holding node objects, takes the per-entry loop instead; promotion
+calls no NumPy beyond its cut, so the steady-state ``acquire``, which
+promotes one or two hosts, pays nothing for the batching.  The
+historical per-host path is kept as a test oracle
+(``tests/pool_oracle.py``), pinned structure for structure against
+this one.
 
 Ready bookkeeping: alongside the draw lists the pool keeps
 ``_ready_end_of`` (node id → ``(interval_end, entry)`` for every node
-filed ready).  The probes — :meth:`has_ready`, :meth:`idle_count`,
-:meth:`next_future_start` — pop the stale store once per *expired*
-entry (amortized O(log n)), refile those nodes to their next interval,
+filed ready).  The probes refile expired nodes to their next interval
 and read the answer off the index.  :meth:`acquire` deliberately does
 **not** sweep: its draw loop still validates lazily so the RNG draw
 sequence (and thus every fixed-seed golden) is bit-identical to the
@@ -97,6 +110,7 @@ paper's *Flat* strategy its modest-but-nonzero tail pickup (§4.2.1).
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -122,6 +136,33 @@ def reset_pool_stats() -> None:
 
 _EMPTY_F = np.empty(0, dtype=np.float64)
 _EMPTY_I = np.empty(0, dtype=np.int64)
+
+#: sweeps expiring fewer hosts than this refile them one by one: the
+#: vectorized refile's NumPy calls cost about as much as that loop
+_BATCH_MIN = 16
+
+#: the future store's order key: (start, id)
+_START_ID = itemgetter(0, 1)
+
+
+def _pop_due(heap: list, t: float) -> list:
+    """Pop every entry whose key is <= ``t``, in ascending order."""
+    out = []
+    pop, take = heapq.heappop, out.append
+    while heap and heap[0][0] <= t:
+        take(pop(heap))
+    return out
+
+
+def _push_many(heap: list, items: list) -> None:
+    """Push ``items``: ``extend + heapify`` when they are a sizeable
+    share of the heap, else one push each (see the module docstring)."""
+    if len(items) > 8 and 4 * len(items) > len(heap):
+        heap.extend(items)
+        heapq.heapify(heap)
+    else:
+        for item in items:
+            heapq.heappush(heap, item)
 
 
 class NodePool:
@@ -228,11 +269,9 @@ class NodePool:
         self.size = len(self._members)
         ready = s0 <= 0.0
         ids_r, e_r = ids[ready], e0[ready]
-        index = self._ready_end_of
-        reg = self._ready_reg
-        for i, end in zip(ids_r.tolist(), e_r.tolist()):
-            index[i] = (end, i)
-            reg.append(i)
+        nids = ids_r.tolist()
+        self._ready_end_of.update(zip(nids, zip(e_r.tolist(), nids)))
+        self._ready_reg.extend(nids)
         order = np.lexsort((ids_r, e_r))
         self._stale_end = np.ascontiguousarray(e_r[order])
         self._stale_id = np.ascontiguousarray(ids_r[order])
@@ -336,202 +375,139 @@ class NodePool:
         cloud = type(entry) is not int and entry.cloud
         (self._ready_cloud if cloud else self._ready_reg).append(entry)
 
+    def _file_ready_many(self, nids: List[int], ends: List[float]) -> None:
+        """:meth:`_file_ready` for columnar ids, in order: one dict
+        update, one list extend and one batched stale push.  The index
+        value of a columnar id and its stale key are the same
+        ``(end, id)`` tuple, so one object serves both."""
+        pairs = list(zip(ends, nids))
+        self._ready_end_of.update(zip(nids, pairs))
+        self._ready_reg.extend(nids)
+        _push_many(self._stale, pairs)
+
     # ------------------------------------------------------------------
-    # promotion (future -> ready)
+    # probes: promotion (future -> ready), stale sweep (expired -> refile)
     # ------------------------------------------------------------------
     def _promote(self, t: float) -> None:
         """Move nodes whose next interval has started into ready.
 
-        Fast path: when the overflow heap holds nothing due, the due
-        slice of the future epoch is one ``searchsorted`` cut, filed
-        front-to-back — the epoch is sorted by ``(start, id)``, the
-        exact order the historical heap popped the same keys in.  When
-        both the epoch head and the heap head are due they are merged
-        scalar-wise on that key (:meth:`_promote_merge`).
+        The due entries are the future epoch's ``searchsorted`` cut
+        plus every due overflow-heap entry, filed in the historical
+        all-heap pop order: ascending ``(start, id)``, the epoch entry
+        first on a tie.  Both runs arrive sorted, so a stable sort of
+        their concatenation is a linear merge.  Columnar entries equal
+        on ``(start, id)`` are the same interval of the same host,
+        hence identical tuples, so they need no sort key.  Heap entries
+        alone (an acquire finds none or one), a short merged slice, or
+        one holding a node object are filed entry by entry; a long
+        all-columnar slice in bulk.
         """
         fs = self._fut_start
-        pos = self._fut_pos
-        heap = self._future
+        pos = hi = self._fut_pos
         if pos < fs.shape[0] and fs[pos] <= t:
-            if not heap or heap[0][0] > t:
-                hi = int(np.searchsorted(fs, t, side="right"))
-                self._bulk_promote(pos, hi)
-                self._fut_pos = hi
-            else:
-                self._promote_merge(t)
-            return
-        members = self._members
-        while heap and heap[0][0] <= t:
-            _, nid, entry, end = heapq.heappop(heap)
-            if nid not in members:
-                continue
-            self._file_ready(entry, end)
-
-    def _bulk_promote(self, lo: int, hi: int) -> None:
-        """File epoch entries ``[lo, hi)`` ready, in epoch order.
-
-        Epoch entries are always columnar ids (never cloud).  The stale
-        pushes may be batched as ``extend + heapify``: heapq's pop
-        sequence over a key multiset is layout-independent, so the
-        sweep order is unchanged (see the module docstring).
-        """
-        ids = self._fut_id[lo:hi].tolist()
-        ends = self._fut_end[lo:hi].tolist()
-        members = self._members
-        index = self._ready_end_of
-        reg = self._ready_reg
-        stale = self._stale
-        pairs = []
-        for i, end in zip(ids, ends):
-            if i not in members:
-                continue
-            index[i] = (end, i)
-            reg.append(i)
-            pairs.append((end, i))
-        if len(pairs) > 8 and 4 * len(pairs) > len(stale):
-            stale.extend(pairs)
-            heapq.heapify(stale)
-        else:
-            for pair in pairs:
-                heapq.heappush(stale, pair)
-
-    def _promote_merge(self, t: float) -> None:
-        """Promotion merging epoch entries vs heap entries on
-        ``(start, id)`` — the historical all-heap pop order.
-
-        The due epoch slice is cut once (``searchsorted`` + `tolist`)
-        rather than read element-wise through numpy scalars, and its
-        filings (always columnar ids, never cloud) are inlined with
-        the stale pushes batched — exact for the same reason as
-        :meth:`_bulk_promote`: ready-list append order follows the
-        merge order, and the stale heap's pop sequence over a key
-        multiset does not depend on its internal layout.
-        """
-        fs = self._fut_start
-        pos = self._fut_pos
-        hi = int(np.searchsorted(fs, t, side="right"))
-        starts = fs[pos:hi].tolist()
-        ids = self._fut_id[pos:hi].tolist()
-        ends = self._fut_end[pos:hi].tolist()
-        self._fut_pos = hi
+            hi = self._fut_pos = int(np.searchsorted(fs, t, side="right"))
         heap = self._future
         members = self._members
-        index = self._ready_end_of
-        reg = self._ready_reg
-        stale = self._stale
-        heappop = heapq.heappop
-        pairs = []
-        i = 0
-        n = len(starts)
-        while True:
-            take_arr = i < n
-            take_heap = bool(heap) and heap[0][0] <= t
-            if take_arr and take_heap:
-                take_arr = ((starts[i], ids[i])
-                            <= (heap[0][0], heap[0][1]))
-                take_heap = not take_arr
-            if take_arr:
-                nid = ids[i]
-                end = ends[i]
-                i += 1
-                if nid in members:
-                    index[nid] = (end, nid)
-                    reg.append(nid)
-                    pairs.append((end, nid))
-            elif take_heap:
-                _, nid, entry, end = heappop(heap)
+        if hi == pos:
+            # heap entries only: the usual acquire finds none or one
+            while heap and heap[0][0] <= t:
+                _, nid, entry, end = heapq.heappop(heap)
                 if nid in members:
                     self._file_ready(entry, end)
-            else:
-                break
-        if len(pairs) > 8 and 4 * len(pairs) > len(stale):
-            stale.extend(pairs)
-            heapq.heapify(stale)
-        else:
-            for pair in pairs:
-                heapq.heappush(stale, pair)
+            return
+        popped = _pop_due(heap, t)
+        nids = self._fut_id[pos:hi].tolist()
+        ends = self._fut_end[pos:hi].tolist()
+        if popped:
+            columnar = all(type(p[2]) is int for p in popped)
+            due = list(zip(fs[pos:hi].tolist(), nids, nids, ends)) + popped
+            due.sort(key=None if columnar else _START_ID)
+            if not columnar or len(due) < _BATCH_MIN:
+                for _, nid, entry, end in due:
+                    if nid in members:
+                        self._file_ready(entry, end)
+                return
+            _, nids, _, ends = zip(*due)
+        if not members.issuperset(nids):
+            live = [i for i, nid in enumerate(nids) if nid in members]
+            nids = [nids[i] for i in live]
+            ends = [ends[i] for i in live]
+        self._file_ready_many(nids, ends)
 
-    # ------------------------------------------------------------------
-    # stale sweep (expired ready entries -> refile)
-    # ------------------------------------------------------------------
     def _sweep_stale(self, t: float) -> None:
         """Refile every ready entry whose interval has already ended.
 
         Only the probes call this — :meth:`acquire` keeps the
         historical lazy validation so its RNG draw sequence is
-        unchanged.  Mirrors :meth:`_promote`: one cut of the stale
-        epoch when the overflow heap holds nothing due, a scalar
-        ``(end, id)`` merge otherwise.  Refiles performed here file
-        intervals with ``end > t`` only, so they never extend the cut
-        being processed.  Refiled nodes leave ghosts in the draw
-        lists; compact those away once they dominate (never triggers
-        in runs that only acquire, so fixed-seed traces are
-        unaffected).
+        unchanged.  The due stale keys are gathered like
+        :meth:`_promote`'s, in ascending ``(end, id)`` order, and
+        checked against the ready index once: each id's first key
+        matching its filed end expires it — in the sequential loop any
+        later key of that id failed, the id having left the index or
+        been refiled with an end > t.  Expired nodes are deleted from
+        the index, then refiled in key order (:meth:`_refile`); a
+        slice shorter than ``_BATCH_MIN`` runs that sequential loop
+        itself.  The refiles leave ghosts in the draw lists; compact
+        those away once they dominate (never triggers in runs that
+        only acquire, so fixed-seed traces are unaffected).
         """
         se = self._stale_end
-        pos = self._stale_pos
+        pos = hi = self._stale_pos
+        if pos < se.shape[0] and se[pos] <= t:
+            hi = self._stale_pos = int(np.searchsorted(se, t, side="right"))
         heap = self._stale
         index = self._ready_end_of
-        if pos < se.shape[0] and se[pos] <= t:
-            if not heap or heap[0][0] > t:
-                hi = int(np.searchsorted(se, t, side="right"))
-                ends = se[pos:hi].tolist()
-                nids = self._stale_id[pos:hi].tolist()
-                self._stale_pos = hi
-                for end, nid in zip(ends, nids):
-                    entry = index.get(nid)
-                    if entry is None or entry[0] != end:
-                        continue
-                    del index[nid]
-                    self._enqueue(entry[1], t)
+        if hi > pos or (heap and heap[0][0] <= t):
+            due = _pop_due(heap, t)
+            if hi > pos:
+                epoch = list(zip(se[pos:hi].tolist(),
+                                 self._stale_id[pos:hi].tolist()))
+                # a linear merge of two sorted runs; equal (end, id)
+                # keys are interchangeable
+                due = sorted(epoch + due) if due else epoch
+            if len(due) < _BATCH_MIN:
+                for end, nid in due:
+                    rec = index.get(nid)
+                    if rec is not None and rec[0] == end:
+                        del index[nid]
+                        self._enqueue(rec[1], t)
             else:
-                self._sweep_merge(t)
-        else:
-            while heap and heap[0][0] <= t:
-                end, nid = heapq.heappop(heap)
-                entry = index.get(nid)
-                if entry is None or entry[0] != end:
-                    continue
-                del index[nid]
-                self._enqueue(entry[1], t)
+                expired = {nid: rec[1] for end, nid in due
+                           if (rec := index.get(nid)) is not None
+                           and rec[0] == end}
+                for nid in expired:
+                    del index[nid]
+                self._refile(expired, t)
         ghosts = (len(self._ready_reg) + len(self._ready_cloud)
                   - len(index))
         if ghosts > 8 and ghosts > len(index):
             self._compact_ghosts()
 
-    def _sweep_merge(self, t: float) -> None:
-        """Scalar sweep merging epoch head vs heap head on
-        ``(end, id)`` — the historical all-heap pop order.  A key
-        duplicated across epoch and heap (a node released back within
-        its filing interval) processes epoch-first; the loser fails
-        the index-end validation exactly like the historical second
-        heap copy did."""
-        se, sid = self._stale_end, self._stale_id
-        n = se.shape[0]
-        heap = self._stale
-        index = self._ready_end_of
-        pos = self._stale_pos
-        while True:
-            take_arr = pos < n and se[pos] <= t
-            take_heap = bool(heap) and heap[0][0] <= t
-            if take_arr and take_heap:
-                take_arr = ((se[pos], sid[pos])
-                            <= (heap[0][0], heap[0][1]))
-                take_heap = not take_arr
-            if take_arr:
-                end = float(se[pos])
-                nid = int(sid[pos])
-                pos += 1
-            elif take_heap:
-                end, nid = heapq.heappop(heap)
-            else:
-                break
-            entry = index.get(nid)
-            if entry is None or entry[0] != end:
-                continue
-            del index[nid]
-            self._enqueue(entry[1], t)
-        self._stale_pos = pos
+    def _refile(self, expired: Dict[int, _Entry], t: float) -> None:
+        """:meth:`_enqueue` every expired entry at ``t``, in order.
+
+        A long all-columnar batch moves every cursor in one
+        :meth:`NodeColumns.next_available_many` call and files the
+        results in bulk, keeping the per-entry order of ready filings
+        (the heap pushes are order-free, see the module docstring).
+        """
+        entries = list(expired.values())
+        if (len(entries) < _BATCH_MIN
+                or not all(type(e) is int for e in entries)):
+            for entry in entries:
+                self._enqueue(entry, t)
+            return
+        ids = np.fromiter(expired, dtype=np.int64, count=len(expired))
+        starts, ends = self._columns.next_available_many(ids, t)
+        now = starts <= t
+        self._file_ready_many(ids[now].tolist(), ends[now].tolist())
+        later = starts > t
+        fid = ids[later].tolist()
+        _push_many(self._future, list(zip(starts[later].tolist(), fid, fid,
+                                          ends[later].tolist())))
+        gone = ids[~(now | later)].tolist()  # NaN: no interval left
+        self._members.difference_update(gone)
+        self.size -= len(gone)
 
     def _compact_ghosts(self) -> None:
         """Drop draw-list entries whose id left the ready index, and
@@ -539,12 +515,25 @@ class NodePool:
         refile appends a fresh copy without removing the old one, so
         an id can hold several list slots while the index holds one —
         keeping only the first copy restores list length == index
-        size and stops the compaction trigger from re-firing)."""
+        size and stops the compaction trigger from re-firing).  A list
+        of plain ids is filtered in one NumPy pass."""
         POOL_STATS["ghost_compactions"] += 1
         index = self._ready_end_of
         for attr in ("_ready_reg", "_ready_cloud"):
             lst = getattr(self, attr)
             if not lst:
+                continue
+            ids = np.array(lst)
+            if ids.dtype.kind == "i":  # columnar ids, all < n
+                n = self._columns.n
+                at = np.arange(ids.shape[0])
+                first = np.full(n, ids.shape[0])
+                np.minimum.at(first, ids, at)
+                keys = np.fromiter(index, dtype=np.int64, count=len(index))
+                indexed = np.zeros(n, dtype=bool)
+                indexed[keys[keys < n]] = True
+                keep = (first[ids] == at) & indexed[ids]
+                setattr(self, attr, ids[keep].tolist())
                 continue
             seen: set[int] = set()
             out = []

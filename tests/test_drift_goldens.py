@@ -6,8 +6,11 @@ The goldens under ``tests/data/`` were captured from the runner code
 field is compared with exact equality — the harness refactor (and any
 later change to assembly order or RNG stream labels) must keep
 single-DCI ``run_execution``/``run_multi_tenant`` and the EDGI
-deployment bit-identical.  If a change *intends* to alter simulation
-semantics, recapture the goldens and say so in the commit.
+deployment bit-identical.  The ``federated`` goldens came later, from
+the per-host pool probes the batched ones replaced: three routed
+federations whose routers probe every pool at each arrival.  If a
+change *intends* to alter simulation semantics, recapture the goldens
+and say so in the commit.
 """
 
 import json
@@ -16,8 +19,17 @@ import os
 import pytest
 
 from repro.deployment.edgi import EDGIConfig, EDGIDeployment, run_edgi
-from repro.experiments.config import ExecutionConfig, MultiTenantConfig
-from repro.experiments.runner import run_execution, run_multi_tenant
+from repro.experiments.config import (
+    DCISpec,
+    ExecutionConfig,
+    MultiTenantConfig,
+    ScenarioConfig,
+)
+from repro.experiments.runner import (
+    run_execution,
+    run_federated,
+    run_multi_tenant,
+)
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -69,6 +81,33 @@ def test_run_multi_tenant_matches_pre_harness_golden(golden):
         assert t.slowdown == g["slowdown"]
         assert t.credits_spent == g["credits_spent"]
         assert t.workers_launched == g["workers_launched"]
+
+
+def _scenario(config):
+    cfg = dict(config)
+    cfg["dcis"] = tuple(DCISpec(**d) for d in cfg["dcis"])
+    cfg["categories"] = tuple(cfg["categories"])
+    cfg["pricing"] = tuple(tuple(p) for p in cfg["pricing"])
+    return ScenarioConfig(**cfg)
+
+
+@pytest.mark.parametrize("golden", _GOLDENS["federated"],
+                         ids=lambda g: g["config"]["routing"])
+def test_run_federated_matches_golden(golden):
+    """A routed federation, byte for byte: the load-reading routers
+    probe every pool (``idle_count``) at each arrival, so these pin the
+    pool's probe refiles, which decide what later draws see."""
+    res = run_federated(_scenario(golden["config"]))
+    assert res.events == golden["events"]
+    assert res.pool_provisioned == golden["pool_provisioned"]
+    assert res.pool_spent == golden["pool_spent"]
+    assert res.workers_peak == golden["workers_peak"]
+    assert [{k: getattr(t, k) for k in g} for t, g in
+            zip(res.tenants, golden["tenants"])] == golden["tenants"]
+    assert [{k: getattr(d, k) for k in g} for d, g in
+            zip(res.dcis, golden["dcis"])] == golden["dcis"]
+    assert len(res.tenants) == len(golden["tenants"])
+    assert len(res.dcis) == len(golden["dcis"])
 
 
 def test_edgi_small_run_matches_pre_harness_golden():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.infra.node import Node
 from repro.infra.pool import NodePool
+from trace_oracle import columns_from_raw
 
 
 def volatile(nid, starts, ends, power=1000.0):
@@ -193,16 +194,22 @@ def test_idle_count_sweeps_instead_of_rescanning():
 
 # --------------------------------------------------- partition invariant
 class PoolModel:
-    """Drives a NodePool through random ops, tracking busy ownership."""
+    """Drives a NodePool through random ops, tracking busy ownership.
 
-    def __init__(self, node_specs, seed):
+    An object pool files everything through its heaps; a columnar pool
+    files its t=0 realization into the epoch arrays instead."""
+
+    def __init__(self, node_specs, seed, columnar=False):
         self.nodes = []
         for nid, intervals in enumerate(node_specs):
             starts = [float(s) for s, _ in intervals]
             ends = [float(e) for _, e in intervals]
             self.nodes.append(volatile(nid, starts, ends))
-        self.pool = NodePool(self.nodes, rng=rng(seed))
-        self.busy = {}  # node_id -> Node acquired and not yet returned
+        members = (columns_from_raw([(n.starts, n.ends, n.power, n.tag)
+                                     for n in self.nodes]).fresh()
+                   if columnar else self.nodes)
+        self.pool = NodePool(members, rng=rng(seed))
+        self.busy = {}  # node_id -> node acquired and not yet returned
         self.t = 0.0
 
     def check_partition(self):
@@ -211,16 +218,16 @@ class PoolModel:
         ready = set(pool._ready_end_of)
         future = {nid for _, nid, _, _ in pool._future
                   if nid in pool._members}
+        future |= {nid for nid in pool._fut_id[pool._fut_pos:].tolist()
+                   if nid in pool._members}  # the live epoch slice
         busy = {nid for nid in self.busy if nid in pool._members}
         assert ready | future | busy == pool._members
         assert not ready & future
         assert not ready & busy
         assert not future & busy
         assert pool.size == len(pool._members)
-        # every filed-ready node's interval genuinely covers no earlier
-        # end than recorded (ends only go stale forward in time)
-        for nid, (end, node) in pool._ready_end_of.items():
-            assert node.node_id == nid
+        for nid, (_end, entry) in pool._ready_end_of.items():
+            assert (entry if type(entry) is int else entry.node_id) == nid
 
     def step(self, op, dt):
         self.t += dt
@@ -257,13 +264,11 @@ interval_sets = st.lists(
     min_size=1, max_size=6)
 
 
-@settings(max_examples=60, deadline=None)
-@given(specs=interval_sets, seed=st.integers(0, 2**16),
-       ops=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 40)),
-                    min_size=1, max_size=40))
-def test_ready_future_busy_partition_members(specs, seed, ops):
-    """After any operation sequence, every member node is in exactly
-    one of: the ready index, the future heap, or busy (acquired)."""
+partition_ops = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 40)),
+                         min_size=1, max_size=40)
+
+
+def _drive_partition(specs, seed, ops, columnar):
     node_specs = []
     for raw in specs:
         t, intervals = 0, []
@@ -273,10 +278,26 @@ def test_ready_future_busy_partition_members(specs, seed, ops):
             intervals.append((start, end))
             t = end
         node_specs.append(intervals)
-    model = PoolModel(node_specs, seed)
+    model = PoolModel(node_specs, seed, columnar)
     model.check_partition()
     for op, dt in ops:
         model.step(op, float(dt))
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs=interval_sets, seed=st.integers(0, 2**16), ops=partition_ops)
+def test_ready_future_busy_partition_members(specs, seed, ops):
+    """After any operation sequence, every member node is in exactly
+    one of: the ready index, the future heap, or busy (acquired)."""
+    _drive_partition(specs, seed, ops, columnar=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs=interval_sets, seed=st.integers(0, 2**16), ops=partition_ops)
+def test_columnar_ready_future_busy_partition_members(specs, seed, ops):
+    """The same partition over a columnar pool, whose future store is
+    the live epoch slice plus the overflow heap."""
+    _drive_partition(specs, seed, ops, columnar=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,207 @@
+"""Batched pool probes vs the per-host reference they replaced.
+
+Two pools over the same columnar fleet — the batched ``NodePool`` and
+``pool_oracle.ScalarProbePool`` — are driven through the same random
+operation sequence: acquires, bulk acquires, releases, preemptions,
+cloud and volatile ``Node`` members coming and going, and all three
+probes.  After every step the results and every structure must match:
+draw lists, ready index (insertion order included), sorted heap
+contents, epoch cursors, interval cursors and the RNG state.
+"""
+
+from collections import Counter
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pool_oracle import ScalarProbePool
+from repro.infra.columns import NodeColumns
+from repro.infra.node import Node
+from repro.infra.pool import NodePool
+from trace_oracle import columns_from_raw
+
+HORIZON = 600.0
+
+
+def _fleet(seed, n):
+    """``n`` hosts with 1–8 sorted, disjoint intervals in [0, 600)."""
+    g = np.random.default_rng(seed)
+    raw = []
+    for _ in range(n):
+        k = int(g.integers(1, 9))
+        pts = np.sort(g.choice(int(HORIZON), size=2 * k,
+                               replace=False)).astype(float)
+        raw.append((pts[0::2].copy(), pts[1::2].copy(), 1000.0, "trace"))
+    return raw
+
+
+def _key(entry):
+    return ("col", entry) if type(entry) is int else ("obj", entry.node_id)
+
+
+def _snapshot(pool):
+    """Every probe-visible structure, with node objects named by id."""
+    return {
+        "reg": [_key(e) for e in pool._ready_reg],
+        "cloud": [_key(e) for e in pool._ready_cloud],
+        "index": [(nid, end, _key(e))
+                  for nid, (end, e) in pool._ready_end_of.items()],
+        "future": sorted((s, nid, _key(e), end)
+                         for s, nid, e, end in pool._future),
+        "stale": sorted(pool._stale),
+        "epochs": (pool._fut_pos, pool._stale_pos),
+        "members": sorted(pool._members),
+        "size": pool.size,
+        "cursor": pool._columns.cursor.tolist(),
+        "rng": pool._rng.bit_generator.state,
+    }
+
+
+def _result(got):
+    if isinstance(got, tuple):
+        node, end = got
+        return node.node_id, end
+    if isinstance(got, list):
+        return [_result(g) for g in got]
+    return got
+
+
+class Twin:
+    """The batched pool and the reference, driven in lockstep."""
+
+    def __init__(self, fleet_seed, n, rng_seed):
+        template = columns_from_raw(_fleet(fleet_seed, n))
+        self.pools = (
+            NodePool(template.fresh(), rng=np.random.default_rng(rng_seed)),
+            ScalarProbePool(template.fresh(),
+                            rng=np.random.default_rng(rng_seed)))
+        self.nodes = {}   # id -> (node for each pool) of Node members
+        self.busy = {}    # id -> ((node for each pool), interval end)
+        self.next_id = 10 ** 6
+        self.t = 0.0
+
+    def check(self, results=None):
+        if results is not None:
+            assert _result(results[0]) == _result(results[1])
+        a, b = self.pools
+        assert _snapshot(a) == _snapshot(b)
+        for na, nb in self.nodes.values():
+            assert na._idx == nb._idx
+
+    def _both(self, fn):
+        results = [fn(pool, i) for i, pool in enumerate(self.pools)]
+        self.check(results)
+        return results
+
+    def _new_nodes(self, kind, g):
+        """One Node member per pool: a stable cloud worker, or a
+        volatile host (cloud or not) with a few short intervals."""
+        nid = self.next_id
+        self.next_id += 1
+        if kind == 0:
+            start = self.t + float(g.integers(0, 30))
+            return tuple(Node.stable(nid, 3000.0, start=start)
+                         for _ in self.pools)
+        pts = np.sort(g.choice(int(HORIZON), size=6,
+                               replace=False)).astype(float)
+        return tuple(Node(nid, 2000.0, pts[0::2], pts[1::2],
+                          cloud=kind == 1) for _ in self.pools)
+
+    def step(self, op, dt, arg):
+        self.t += dt
+        t = self.t
+        if op == 0:
+            got = self._both(lambda p, i: p.acquire(t))
+            self._take([got])
+        elif op == 1:
+            got = self._both(lambda p, i: p.acquire_many(t, arg % 24))
+            self._take(list(zip(*got)))
+        elif op in (2, 3) and self.busy:
+            nid = sorted(self.busy)[arg % len(self.busy)]
+            nodes, end = self.busy.pop(nid)
+            if op == 2 and t < end:
+                self._both(lambda p, i: p.release(nodes[i], t))
+            else:
+                self._both(lambda p, i: p.preempted(nodes[i], t))
+        elif op == 4:
+            nodes = self._new_nodes(arg % 3, np.random.default_rng(arg))
+            self.nodes[nodes[0].node_id] = nodes
+            self._both(lambda p, i: p.add(nodes[i], t))
+        elif op == 5 and self.pools[0]._members:
+            members = sorted(self.pools[0]._members)
+            nid = members[arg % len(members)]
+            pair = self.nodes.get(nid, (SimpleNamespace(node_id=nid),) * 2)
+            self._both(lambda p, i: p.remove(pair[i]))
+        elif op == 6:
+            self._both(lambda p, i: p.has_ready(t))
+        elif op == 7:
+            self._both(lambda p, i: p.idle_count(t))
+        elif op == 8:
+            self._both(lambda p, i: p.next_future_start(t))
+
+    def _take(self, pairs):
+        for got in pairs:
+            if got[0] is None:
+                continue
+            (na, end), (nb, _) = got
+            self.busy[na.node_id] = ((na, nb), end)
+
+
+ops = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 60),
+                         st.integers(0, 10 ** 4)),
+               min_size=1, max_size=50)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fleet_seed=st.integers(0, 10 ** 4), n=st.integers(20, 160),
+       rng_seed=st.integers(0, 10 ** 4), steps=ops)
+def test_batched_probes_match_per_host_reference(fleet_seed, n, rng_seed,
+                                                 steps):
+    twin = Twin(fleet_seed, n, rng_seed)
+    twin.check()
+    for op, dt, arg in steps:
+        twin.step(op, float(dt), arg)
+
+
+def test_twin_drive_runs_both_branches_of_each_probe(monkeypatch):
+    """Guard against the comparison silently covering one branch: in a
+    fixed drive, the batched pool's promotion and sweep must each file
+    some due slices host by host and others in bulk."""
+    seen = Counter()
+    probe = []  # the batched pool's probe step running, if any
+
+    def scoped(name):
+        fn = getattr(NodePool, name)
+
+        def run(self, t):
+            probe.append(name)
+            try:
+                return fn(self, t)
+            finally:
+                probe.pop()
+        monkeypatch.setattr(NodePool, name, run)
+
+    def counted(cls, name, branch):
+        fn = getattr(cls, name)
+
+        def run(self, *args):
+            if probe:
+                seen[probe[-1], branch] += 1
+            return fn(self, *args)
+        monkeypatch.setattr(cls, name, run)
+
+    scoped("_promote")
+    scoped("_sweep_stale")
+    counted(NodePool, "_file_ready", "entry")
+    counted(NodePool, "_enqueue", "entry")
+    counted(NodePool, "_file_ready_many", "bulk")
+    counted(NodeColumns, "next_available_many", "bulk")
+    twin = Twin(fleet_seed=5, n=150, rng_seed=2)
+    g = np.random.default_rng(9)
+    for _ in range(300):
+        twin.step(int(g.integers(0, 9)), float(g.integers(0, 12)),
+                  int(g.integers(0, 10 ** 4)))
+    for step in ("_promote", "_sweep_stale"):
+        assert seen[step, "entry"] > 0 and seen[step, "bulk"] > 0, seen

@@ -1,6 +1,7 @@
 """On-disk trace-realization store: roundtrip, two-tier promotion,
 read-only sharing, fingerprint invalidation, and GC."""
 
+import ast
 import os
 
 import numpy as np
@@ -108,6 +109,42 @@ def test_stale_fingerprint_entries_are_unreachable_and_gced(store):
     assert removed == 1 and nbytes > 0
     assert store.entries() == (0, 0)
     assert not os.path.exists(stale)
+
+
+def _infra_imports(module):
+    """The ``repro.infra`` modules one ``repro.infra`` module imports,
+    read from its source (anywhere in it, function bodies included)."""
+    path = os.path.join(os.path.dirname(ts.__file__), os.pardir, "infra",
+                        f"{module}.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert not node.level, f"{module}: relative import not resolved"
+            names.add(node.module)
+            names.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+    prefix = "repro.infra."
+    return {n[len(prefix):].split(".")[0] for n in names
+            if n.startswith(prefix)}
+
+
+def test_fingerprint_hashes_exactly_the_generators():
+    """The fingerprint covers catalog.py and every repro.infra module it
+    imports, transitively — and nothing else, so an edit to a module
+    that only consumes realizations (the pool, say) keeps the store
+    warm.  The package ``__init__`` imports everything, so only the
+    source's own imports can show the closure."""
+    closure, todo = set(), ["catalog"]
+    while todo:
+        module = todo.pop()
+        if module not in closure:
+            closure.add(module)
+            todo.extend(_infra_imports(module))
+    assert set(ts.GENERATOR_MODULES) == closure
+    assert "pool" not in closure and "columns" not in closure
 
 
 def test_gc_keeps_current_entries(store):
