@@ -89,10 +89,7 @@ def pytest_terminal_summary(terminalreporter):
         if disp:
             terminalreporter.write_line(
                 f"dispatch plane (10^5 profile): {disp['acquires']:,} "
-                f"acquires in {disp['bulk_batches']:,} bulk batches, "
-                f"{disp['bulk_passes']:,}/{disp['dispatches']:,} bulk "
-                f"passes at {disp['mean_pairing_us']:,.0f}us pairing, "
-                f"{disp['scalar_fallbacks']} scalar fallbacks, "
+                f"acquires in {disp['dispatches']:,} dispatch passes, "
                 f"{disp['ghost_compactions']} ghost compactions, "
                 f"{disp['profile_share']:.1%} of run wall")
     # world-assembly skeleton cache (per-process; filled by the sweep)

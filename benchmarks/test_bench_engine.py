@@ -30,7 +30,6 @@ from repro.core.scheduler import SCHED_TELEMETRY, reset_sched_telemetry
 from repro.economics.billing import BILLING_STATS, reset_billing_stats
 from repro.economics.pricing import RATE_STATS, reset_rate_stats
 from repro.infra.pool import POOL_STATS, reset_pool_stats
-from repro.middleware.base import DISPATCH_STATS, reset_dispatch_stats
 from repro.experiments import (
     DCISpec,
     ExecutionConfig,
@@ -255,7 +254,6 @@ def _scale_sweep_and_profile(scale):
     reset_billing_stats()
     reset_rate_stats()
     reset_pool_stats()
-    reset_dispatch_stats()
     profiler = cProfile.Profile()
     profiler.enable()
     res = run_federated(_federated_config(SCALE_NODES[-1]))
@@ -306,16 +304,15 @@ def _scale_sweep_and_profile(scale):
     # pstats' total_tt) spent inside base._dispatch or pool.acquire.
     # Two adjustments keep the number an honest measure of *pairing
     # machinery* rather than assignment volume:
-    #   - acquire reached *through* _dispatch (the scalar reference
-    #     calls it) is already inside _dispatch's cumulative time, so
-    #     only acquire's time under other callers adds — summing both
-    #     cumtimes outright would double-count the nested subtree and
-    #     could push a "share" past 100%;
+    #   - acquire reached *through* _dispatch is already inside
+    #     _dispatch's cumulative time, so only acquire's time under
+    #     other callers adds — summing both cumtimes outright would
+    #     double-count the nested subtree and could push a "share"
+    #     past 100%;
     #   - the per-assignment `_execute` payload (replica bookkeeping,
-    #     timeout + progress event scheduling) runs once per pairing
-    #     whether the scalar loop or the bulk pass produced it, so its
-    #     subtree is subtracted back out: a model that assigns more
-    #     tasks should not read as a slower dispatcher.
+    #     timeout + progress event scheduling) runs once per pairing,
+    #     so its subtree is subtracted back out: a model that assigns
+    #     more tasks should not read as a slower dispatcher.
     def _profile_key(name, tail):
         for key in stats.stats:
             fname, _lineno, func = key
@@ -324,40 +321,29 @@ def _scale_sweep_and_profile(scale):
         return None
 
     disp_key = _profile_key("_dispatch", "middleware/base.py")
-    scalar_key = _profile_key("_dispatch_scalar", "middleware/base.py")
     acq_key = _profile_key("acquire", "infra/pool.py")
     dispatch_cum = stats.stats[disp_key][3] if disp_key else 0.0
+    dispatches = stats.stats[disp_key][1] if disp_key else 0
     if acq_key is not None:
         _cc, _nc, _tt, acq_ct, acq_callers = stats.stats[acq_key]
         nested = sum(ct for caller, (_c, _n, _t, ct)
-                     in acq_callers.items()
-                     if caller in (disp_key, scalar_key))
+                     in acq_callers.items() if caller == disp_key)
         dispatch_cum += max(0.0, acq_ct - nested)
     for key, (_cc, _nc, _tt, _ct, callers) in stats.stats.items():
         if key[2] != "_execute" or "middleware" not in key[0]:
             continue
         dispatch_cum -= sum(ct for caller, (_c, _n, _t, ct)
-                            in callers.items()
-                            if caller in (disp_key, scalar_key))
+                            in callers.items() if caller == disp_key)
     dispatch_cum = max(0.0, dispatch_cum)
     dispatch_share = dispatch_cum / stats.total_tt
-    bulk = DISPATCH_STATS["bulk"]
     dispatch_section = {
         "acquires": POOL_STATS["acquires"],
-        "bulk_batches": POOL_STATS["bulk_batches"],
-        "dispatches": DISPATCH_STATS["dispatches"],
-        "bulk_passes": bulk,
-        "scalar_fallbacks": DISPATCH_STATS["scalar_fallbacks"],
-        "mean_pairing_us": round(
-            DISPATCH_STATS["pairing_wall"] / max(1, bulk) * 1e6, 1),
+        "dispatches": dispatches,
         "ghost_compactions": POOL_STATS["ghost_compactions"],
         "profile_share": round(dispatch_share, 4),
     }
     print(f"[dispatch] {POOL_STATS['acquires']:,} acquires in "
-          f"{POOL_STATS['bulk_batches']:,} bulk batches, "
-          f"{bulk:,}/{DISPATCH_STATS['dispatches']:,} bulk passes "
-          f"({dispatch_section['mean_pairing_us']:.0f}us pairing, "
-          f"{DISPATCH_STATS['scalar_fallbacks']} scalar fallbacks), "
+          f"{dispatches:,} dispatch passes, "
           f"{POOL_STATS['ghost_compactions']} ghost compactions, "
           f"pairing share {dispatch_share:.1%} of the profiled run wall")
 
@@ -381,8 +367,10 @@ def _scale_sweep_and_profile(scale):
         f"{scheduler_section['mean_tick_us']:.0f}us "
         f"(contract: < 500us at the 10^5-node point)")
 
-    # PR 10 gate: the vectorized dispatch plane must hold its win on
-    # the 10^5 point (regression = the bulk path silently disengaged)
+    # 10^5 sweep gate: the point must hold its dispatch-plane win.  It
+    # times the whole run, so a failure is a regression anywhere on the
+    # path (the profile above says where) or a cold trace store paying
+    # generation inside the timed wall
     sweep_gate = SWEEP_GATE_MULTIPLIER * PR8_SWEEP_100K_EPS
     eps_100k = sweep[-1]["events_per_second"]
     assert eps_100k >= sweep_gate, (

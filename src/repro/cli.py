@@ -255,8 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="with gc: additionally drop records "
                            "archived more than D days ago")
 
+    from repro.infra.catalog import TRACE_NAMES
     tr = sub.add_parser("trace", help="synthesize and inspect a trace")
-    tr.add_argument("name", help="trace name (seti, nd, g5klyo, ...)")
+    tr.add_argument("name", choices=TRACE_NAMES, help="trace name")
     tr.add_argument("--days", type=float, default=4.0)
     tr.add_argument("--max-nodes", type=int, default=None)
     tr.add_argument("--seed", type=int, default=0)
@@ -738,7 +739,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                "report": _cmd_report, "sweep": _cmd_sweep,
                "store": _cmd_store, "history": _cmd_history,
                "trace": _cmd_trace}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ValueError as exc:
+        # a rejected configuration is a usage error: one line, exit 2
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -98,9 +98,6 @@ class TraceCache:
         #: NodeColumns template of an entry, built lazily on first
         #: columnar request and evicted together with its entry
         self._columns: dict[_TraceKey, NodeColumns] = {}
-        #: t=0 pool filing skeleton per columns template, captured on
-        #: the first pool build and evicted with its entry
-        self._filings: dict[_TraceKey, dict] = {}
         self.hits = 0
         self.misses = 0       # L1 misses (may still hit disk)
         self.disk_hits = 0    # L1 misses served by the on-disk store
@@ -132,47 +129,28 @@ class TraceCache:
                             stream: Sequence[int] = ()) -> NodeColumns:
         """One realization as columnar storage (the pool's fast path).
 
-        The flattened :class:`~repro.infra.columns.NodeColumns` form is
-        built once per cache entry and shared; each call returns a
-        :meth:`~repro.infra.columns.NodeColumns.fresh` per-execution
-        instance (immutable interval/offset/power columns zero-copy,
-        its own cursor array), so warm executions skip the per-node
-        object rebuild entirely.
+        A :meth:`~repro.infra.columns.NodeColumns.fresh` per-execution
+        instance of :meth:`columns_template` (immutable interval/
+        offset/power columns zero-copy, its own cursor array), so warm
+        executions skip the per-node object rebuild entirely.
         """
+        return self.columns_template(trace, seed, cap, horizon,
+                                     stream).fresh()
+
+    def columns_template(self, trace: str, seed: int, cap: int,
+                         horizon: float,
+                         stream: Sequence[int] = ()) -> NodeColumns:
+        """The *shared immutable* columns template for one realization
+        (no per-execution cursor copy), built once per cache entry —
+        the assembly cache pins this so sweeps larger than the LRU
+        don't thrash templates.  Every lookup counts and refreshes the
+        entry like any other L1 access."""
         key = (trace, (seed, *stream), cap, horizon)
+        entry = self._entry_for(key)
         template = self._columns.get(key)
         if template is None:
-            template = NodeColumns.from_flat(*self._entry_for(key))
-            self._columns[key] = template
-        else:
-            self._entry_for(key)  # LRU touch keeps columns+entry paired
-        return template.fresh()
-
-    def materialize_pool(self, trace: str, seed: int, cap: int,
-                         horizon: float, stream: Sequence[int] = (),
-                         rng: Optional[np.random.Generator] = None
-                         ) -> NodePool:
-        """A freshly filed :class:`~repro.infra.pool.NodePool` over one
-        realization — the ``build_dci`` fast path.
-
-        The t=0 filing of a columns template is deterministic and
-        cursor-independent (only the vectorized
-        ``NodePool._init_columns`` path qualifies — degenerate traces
-        re-file every time), so it is computed once per cache entry and
-        restored onto each execution's fresh cursor copy.  The restored
-        pool is structurally identical to a freshly filed one — same
-        draw-list order, same heaps — so the RNG draw sequence, and
-        every fixed-seed golden, is unchanged.
-        """
-        key = (trace, (seed, *stream), cap, horizon)
-        cols = self.materialize_columns(trace, seed, cap, horizon, stream)
-        filing = self._filings.get(key)
-        if filing is not None:
-            return NodePool.from_filing(cols, filing, rng=rng)
-        pool = NodePool(cols, rng=rng)
-        if pool.vector_filed:
-            self._filings[key] = pool.capture_filing()
-        return pool
+            template = self._columns[key] = NodeColumns.from_flat(*entry)
+        return template
 
     def _entry_for(self, key: _TraceKey) -> Tuple:
         entry = self._entries.get(key)
@@ -183,7 +161,6 @@ class TraceCache:
                 evicted, _ = self._entries.popitem(last=False)
                 self._nodes.pop(evicted, None)
                 self._columns.pop(evicted, None)
-                self._filings.pop(evicted, None)
                 self.evictions += 1
             self._entries[key] = entry
         else:
@@ -226,7 +203,6 @@ class TraceCache:
         self._entries.clear()
         self._nodes.clear()
         self._columns.clear()
-        self._filings.clear()
 
     def reset_stats(self) -> None:
         self.hits = self.misses = self.disk_hits = self.evictions = 0
@@ -239,20 +215,6 @@ class TraceCache:
                 f"({self.disk_hits} from disk), "
                 f"{self.evictions} evictions, {len(self)} entries "
                 f"(cap {self.capacity()})")
-
-
-    def columns_template(self, trace: str, seed: int, cap: int,
-                         horizon: float,
-                         stream: Sequence[int] = ()) -> NodeColumns:
-        """The *shared immutable* columns template for one realization
-        (no per-execution cursor copy) — the assembly cache pins this
-        so sweeps larger than the LRU don't thrash templates."""
-        key = (trace, (seed, *stream), cap, horizon)
-        template = self._columns.get(key)
-        if template is None:
-            self.materialize_columns(trace, seed, cap, horizon, stream)
-            template = self._columns[key]
-        return template
 
 
 #: process-wide cache shared by every runner entry point
@@ -281,14 +243,14 @@ class _AssemblySkeleton:
 class AssemblyCache:
     """Per-process cache of world-assembly skeletons.
 
-    One level above the trace cache's pool-filing cache: keyed by the
-    full DCI spec — ``(trace key, middleware, config digest,
-    provider)`` — so repeated sweep shards (the same
-    ``run_federated`` configuration re-executed across seeds of a
-    campaign, or warm bench rounds) skip middleware resolution and the
-    trace-cache lookup chain entirely.  Skeletons pin their columns
-    template beyond the trace LRU; the map is bounded by the number of
-    distinct DCI specs a process touches.
+    One level above the trace cache, and the one place a t=0 pool
+    filing is cached: keyed by the full DCI spec — ``(trace key,
+    middleware, config digest, provider)`` — so repeated sweep shards
+    (the same ``run_federated`` configuration re-executed across seeds
+    of a campaign, or warm bench rounds) skip middleware resolution,
+    the trace-cache lookup and the pool filing entirely.  Skeletons
+    pin their columns template beyond the trace LRU; the map is
+    bounded by the number of distinct DCI specs a process touches.
     """
 
     def __init__(self) -> None:
@@ -418,8 +380,7 @@ class ScenarioHarness:
             pool = NodePool.from_filing(skel.template.fresh(),
                                         skel.filing, rng=rng)
         else:  # degenerate trace: the filing isn't capturable
-            pool = TRACE_CACHE.materialize_pool(
-                trace, seed, cap, self.sim.horizon, stream, rng=rng)
+            pool = NodePool(skel.template.fresh(), rng=rng)
         server = skel.server_cls(self.sim, pool, config=middleware_config,
                                  name=name)
         driver = get_driver(provider, self.sim,

@@ -84,17 +84,6 @@ id (a sweep-refiled node leaves its old list copy *and* appends a new
 one, so compaction must deduplicate or the ghost count never drops
 and the compaction scan re-triggers forever).
 
-Bulk acquisition: :meth:`acquire_many` is provably ``k`` sequential
-:meth:`acquire` calls — one shared :meth:`_promote` (the follow-up
-promotes are no-ops: nothing with ``start <= t`` remains and the draws
-add nothing) followed by ``k`` runs of the identical scalar draw loop
-over ``self._rng``.  Only the bookkeeping around the draws is batched;
-the weighted cloud-vs-regular pick, the ghost skips and the lazy
-refiles consume the historical RNG sequence draw for draw.  Callers
-whose interleaving cannot be reduced to back-to-back acquires (any
-path that releases or files nodes between draws) must keep calling
-scalar :meth:`acquire`.
-
 Selection model: desktop-grid work distribution is *pull-based* — the
 server hands a task to whichever idle worker polls next.  Among
 homogeneous volunteers that is equivalent to a uniformly random pick.
@@ -124,9 +113,9 @@ __all__ = ["NodePool", "POOL_STATS", "reset_pool_stats"]
 _Entry = Union[int, Node]
 
 #: dispatch-plane telemetry (reset per profiled run by the benches):
-#: individual weighted draws served, acquire_many batch calls, and
-#: ghost compaction passes over the draw lists
-POOL_STATS = {"acquires": 0, "bulk_batches": 0, "ghost_compactions": 0}
+#: individual weighted draws served and ghost compaction passes over
+#: the draw lists
+POOL_STATS = {"acquires": 0, "ghost_compactions": 0}
 
 
 def reset_pool_stats() -> None:
@@ -619,10 +608,10 @@ class NodePool:
         Counts the ready index (which may still hold entries whose
         interval has lapsed but which no sweep refiled yet) plus the
         due slice of the future epoch (which may hold removed members)
-        plus one for a due overflow-heap head.  Purely a routing hint
-        for the dispatch plane: both dispatch strategies are
-        transcript-identical, so a wrong estimate can never change
-        results — only which (equivalent) loop runs.
+        plus one for a due overflow-heap head.  Nothing in the
+        simulator calls it: it stays only because the benchmark's
+        per-layer tracer (``benchmarks/perf/layers.py``) resolves it by
+        name, and goes once that list drops it.
         """
         hint = len(self._ready_end_of)
         fs = self._fut_start
@@ -656,14 +645,16 @@ class NodePool:
         changes no state and consumes no RNG.  The draws themselves
         run the unmodified scalar loop.  A dry draw consumes the same
         ghost-skip RNG sequence as a scalar acquire returning None,
-        after which the scalar caller (the dispatch loop) stopped
-        acquiring — so stopping here matches it draw for draw.  Any
-        caller that mutates the pool between draws (release, add)
-        must use scalar :meth:`acquire` instead.
+        after which a sequential caller stops acquiring — so stopping
+        here matches it draw for draw.  Any caller that mutates the
+        pool between draws (release, add) must use scalar
+        :meth:`acquire` instead.  Nothing in the simulator calls it
+        (dispatch acquires one node per poll): it stays only because
+        the benchmark's per-layer tracer (``benchmarks/perf/layers.py``)
+        resolves it by name, and goes once that list drops it.
         """
         if k <= 0:
             return []  # zero acquires touch nothing, not even a promote
-        POOL_STATS["bulk_batches"] += 1
         self._promote(t)
         out: List[Tuple[Node, float]] = []
         draw = self._draw

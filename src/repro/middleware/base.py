@@ -24,32 +24,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Deque, Dict, List, Optional, Protocol, Tuple
-
-import numpy as np
 
 from repro.infra.node import Node
 from repro.infra.pool import NodePool
-from repro.middleware.columns import TaskColumns
 from repro.simulator.engine import Event, Simulation
 from repro.workload.bot import BagOfTasks, Task
 
-__all__ = ["DGServer", "ServerObserver", "ServerStats", "TaskState",
-           "GTID", "DISPATCH_STATS", "reset_dispatch_stats"]
-
-#: dispatch-plane telemetry (reset per profiled run by the benches):
-#: total dispatch passes, bulk passes, scalar fallbacks forced by the
-#: eligibility precondition, and wall seconds spent inside bulk pairing
-DISPATCH_STATS = {"dispatches": 0, "bulk": 0, "scalar_fallbacks": 0,
-                  "pairing_wall": 0.0}
-
-
-def reset_dispatch_stats() -> None:
-    DISPATCH_STATS["dispatches"] = 0
-    DISPATCH_STATS["bulk"] = 0
-    DISPATCH_STATS["scalar_fallbacks"] = 0
-    DISPATCH_STATS["pairing_wall"] = 0.0
+__all__ = ["DGServer", "ServerObserver", "ServerStats", "TaskState", "GTID"]
 
 #: Global task id: (bot_id, task_id) — servers can host several BoTs.
 GTID = Tuple[str, int]
@@ -93,15 +75,6 @@ class TaskState:
     ``done`` flips exactly once; late or duplicate results arriving
     afterwards are discarded (counted in
     :attr:`ServerStats.discarded_results`).
-
-    Columnar mirror: a server-admitted state carries ``cols``/``row``
-    pointing into the server's :class:`~repro.middleware.columns.
-    TaskColumns`, and the four mirrored fields (``done``,
-    ``outstanding``, ``first_assign_time``, ``cloud_dups``) must only
-    change through the mutator methods below, which write the object
-    field and the column cell together (the sync invariant the bulk
-    dispatch masks rely on).  A standalone state (``cols is None``)
-    uses the same mutators; they just skip the column write.
     """
 
     gtid: GTID
@@ -120,30 +93,6 @@ class TaskState:
     ok_results: int = 0
     #: whether the task currently sits in the pending queue (XWHEP)
     queued: bool = False
-    #: columnar mirror handle (set at admission by the server)
-    cols: Optional[TaskColumns] = None
-    row: int = -1
-
-    # -- mirrored-field mutators (the only legal write sites) ----------
-    def mark_done(self) -> None:
-        self.done = True
-        if self.cols is not None:
-            self.cols.done[self.row] = True
-
-    def add_outstanding(self, delta: int) -> None:
-        self.outstanding += delta
-        if self.cols is not None:
-            self.cols.outstanding[self.row] += delta
-
-    def set_first_assign(self, t: float) -> None:
-        self.first_assign_time = t
-        if self.cols is not None:
-            self.cols.first_assign[self.row] = t
-
-    def add_cloud_dups(self, delta: int) -> None:
-        self.cloud_dups += delta
-        if self.cols is not None:
-            self.cols.cloud_dups[self.row] += delta
 
 
 class _BotProgress:
@@ -193,9 +142,6 @@ class DGServer:
         self.name = name
         self.stats = ServerStats()
         self.tasks: Dict[GTID, TaskState] = {}
-        #: columnar mirror of dispatch-relevant task fields (one row
-        #: per admitted task, appended in _arrive_one)
-        self.task_cols = TaskColumns()
         self.pending: Deque = deque()
         self.observers: List[ServerObserver] = []
         #: event name -> bound observer methods (built in add_observer,
@@ -248,8 +194,7 @@ class DGServer:
     def _arrive_one(self, bot_id: str, task: Task) -> None:
         t = self.sim.now
         gtid = (bot_id, task.task_id)
-        st = TaskState(gtid=gtid, task=task, arrival_time=t,
-                       cols=self.task_cols, row=self.task_cols.add(gtid))
+        st = TaskState(gtid=gtid, task=task, arrival_time=t)
         self.tasks[gtid] = st
         prog = self._bots[bot_id]
         prog.arrived += 1
@@ -297,100 +242,14 @@ class DGServer:
     # ------------------------------------------------------------------
     # dispatch loop
     # ------------------------------------------------------------------
-
-    #: below this queue length the bulk pass gains nothing over the
-    #: scalar loop (both are transcript-identical; this is pure tuning)
-    _BULK_MIN = 4
-
     def _dispatch(self) -> None:
         """Pair pending units with available idle nodes.
 
-        Bulk fast path — provably the scalar loop, draw for draw.
-        Simulate :meth:`_dispatch_scalar` over a queue whose first
-        ``n_live`` non-done entries are each consumable by *any* drawn
-        node (the :meth:`_bulk_eligible` precondition): every
-        successful acquire strips the done heads in front of the next
-        live entry and consumes that entry, so the loop performs
-        exactly ``k = n_live`` acquires when the queue ends with a
-        live entry, and ``n_live + 1`` when trailing done entries (or
-        an all-done queue) force one extra acquire whose pick comes
-        back None and whose node is set aside.  Acquires schedule no
-        events and :meth:`_execute` consumes no RNG, so hoisting all
-        draws in front of all executes (one :meth:`NodePool.
-        acquire_many`) leaves both the RNG stream and the event-seq
-        allocation order byte-identical.  If the pool runs dry after
-        ``g < k`` draws, the scalar loop breaks with the queue cut
-        after the ``g``-th consumed live entry (done heads in front of
-        an un-consumed live entry survive — the strip that would have
-        removed them never ran) and arms the wake-up; the bulk pass
-        reproduces that exact remainder.  Queues the precondition
-        cannot certify (BOINC with assignment history) take
-        :meth:`_dispatch_scalar` unchanged.
-
-        Routing: the bulk pre-pass scans the whole queue (O(n)), so
-        it must be amortized by many assignments.  In steady state a
-        task finish releases *one* node into a long queue — there the
-        scalar loop is O(1) (acquire, pick, dry, stop) while the
-        pre-pass would re-scan thousands of entries per event.  The
-        pool's O(1) :meth:`~repro.infra.pool.NodePool.ready_hint`
-        routes those to the scalar loop; arrival storms and wake-ups
-        with many returning nodes stay bulk.  The hint is advisory
-        only — both loops are transcript-identical, so routing can
-        never change results.
+        Pull dispatch (§3.2): each idle node the pool hands out polls
+        for the next pending unit it may run.  A node that may run
+        none of them is set aside until the pass ends, so the pool
+        cannot hand it straight back.
         """
-        DISPATCH_STATS["dispatches"] += 1
-        pending = self.pending
-        n = len(pending)
-        if n == 0:
-            return
-        t = self.sim.now
-        if (n < self._BULK_MIN
-                or self.pool.ready_hint(t) < self._BULK_MIN):
-            self._dispatch_scalar()
-            return
-        plist = list(pending)
-        rows = np.fromiter((st.row for st in plist), dtype=np.int64,
-                           count=n)
-        if rows.min() < 0:  # foreign TaskState without a column row
-            self._dispatch_scalar()
-            return
-        wall0 = perf_counter()
-        live_idx = np.flatnonzero(~self.task_cols.done[rows])
-        n_live = int(live_idx.shape[0])
-        if n_live and not self._bulk_eligible(rows, live_idx):
-            DISPATCH_STATS["scalar_fallbacks"] += 1
-            self._dispatch_scalar()
-            return
-        DISPATCH_STATS["bulk"] += 1
-        k = n_live
-        if n_live == 0 or int(live_idx[-1]) != n - 1:
-            k += 1  # trailing done entries cost one set-aside acquire
-        got = self.pool.acquire_many(t, k)
-        g = len(got)
-        s = min(g, n_live)
-        units = [plist[int(i)] for i in live_idx[:s]]
-        # Consume the queue exactly as the scalar picks would have
-        # (before executing: _execute never touches the queue).
-        if g == k:
-            pending.clear()
-        else:
-            cut = int(live_idx[s - 1]) + 1 if s else 0
-            for _ in range(cut):
-                pending.popleft()
-        self._consume_bulk(units)
-        DISPATCH_STATS["pairing_wall"] += perf_counter() - wall0
-        execute = self._execute
-        for unit, (node, end) in zip(units, got):
-            execute(unit, node, end)
-        for node, _end in got[n_live:]:  # the set-aside extra draw
-            self.pool.release(node, t)
-        if pending:
-            self._arm_wakeup()
-
-    def _dispatch_scalar(self) -> None:
-        """Scalar reference loop (the historical `_dispatch` body) —
-        kept verbatim as the transcript oracle for the bulk pass and
-        as the fallback for queues the precondition cannot certify."""
         t = self.sim.now
         set_aside: List[Tuple[Node, float]] = []
         while self.pending:
@@ -401,8 +260,7 @@ class DGServer:
             unit = self._pick_unit(node)
             if unit is None:
                 # Nothing this node may run (e.g. BOINC already has a
-                # replica of every pending workunit on it) — set it
-                # aside so acquire() does not hand it straight back.
+                # replica of every pending workunit on it).
                 set_aside.append((node, end))
                 continue
             self._execute(unit, node, end)
@@ -410,18 +268,6 @@ class DGServer:
             self.pool.release(node, t)
         if self.pending:
             self._arm_wakeup()
-
-    def _bulk_eligible(self, rows: np.ndarray,
-                       live_idx: np.ndarray) -> bool:
-        """Whether every live pending entry is consumable by any node
-        the pool may draw — the bulk precondition.  Base: unit picks
-        that never inspect the node (XWHEP FIFO) always qualify;
-        BOINC narrows this (see its override)."""
-        return True
-
-    def _consume_bulk(self, units: List[TaskState]) -> None:
-        """Apply :meth:`_pick_unit`'s per-unit side effects to a bulk
-        pick (XWHEP clears ``queued``; BOINC's pick only deletes)."""
 
     def _arm_wakeup(self) -> None:
         """Schedule a dispatch retry when an away node next returns.
@@ -463,10 +309,10 @@ class DGServer:
             self.stats.cloud_assignments += 1
             self._cloud_busy_since[node.node_id] = t
         st.workers.add(node.node_id)
-        st.add_outstanding(1)
+        st.outstanding += 1
         self._busy[node.node_id] = st.gtid
         if st.first_assign_time is None:
-            st.set_first_assign(t)
+            st.first_assign_time = t
             prog = self._bots.get(st.gtid[0])
             if prog is not None:
                 prog.assigned += 1
@@ -524,7 +370,7 @@ class DGServer:
         if st.done:
             return
         t = self.sim.now
-        st.mark_done()
+        st.done = True
         st.completion_time = t
         self.stats.completions += 1
         self._emit("on_task_completed", st.gtid, t)

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.infra.node import Node
 from repro.infra.pool import NodePool
 from repro.middleware.base import DGServer, TaskState
@@ -128,33 +126,7 @@ class BoincServer(DGServer):
                 return wu
         return None
 
-    def _bulk_eligible(self, rows, live_idx) -> bool:
-        """Bulk precondition: every live pending workunit is fresh.
-
-        With ``one_result_per_user_per_wu`` off the scan never rejects
-        a node, so any queue qualifies.  Otherwise the queue qualifies
-        when no live pending workunit has a ``first_assign_time``
-        (NaN in the column mirror): freshness means empty ``workers``
-        sets — both only change together in ``_mark_assigned`` and are
-        never reset — so the first drawn node matches the FIFO-first
-        live unit.  Induction over the pass: nodes drawn within one
-        :meth:`~repro.infra.pool.NodePool.acquire_many` batch are
-        pairwise distinct (an acquired node re-enters the pool only
-        via a release, and the bulk pass releases nothing until all
-        draws are done), so after ``i`` assignments each live unit's
-        ``workers`` holds only nodes drawn earlier in the pass, never
-        the ``i+1``-th node — the eligibility scan again matches the
-        first live unit, exactly like the scalar interleaving.  A
-        replica re-queued by a timeout has a first assignment, fails
-        the NaN test, and routes the whole pass to the scalar loop.
-        """
-        if not self.config.one_result_per_user_per_wu:
-            return True
-        fa = self.task_cols.first_assign
-        return bool(np.isnan(fa[rows[live_idx]]).all())
-
     def _execute(self, wu: TaskState, node: Node, interval_end: float) -> None:
-        t = self.sim.now
         fresh_fat = wu.first_assign_time is None
         self._mark_assigned(wu, node)
         if fresh_fat:  # first assignment moved the fetch key off inf
@@ -210,9 +182,9 @@ class BoincServer(DGServer):
             rep.timeout_ev.cancel()
         self._node_freed(rep.node)
         if not rep.timed_out:
-            wu.add_outstanding(-1)
+            wu.outstanding -= 1
         if rep.is_cloud_fetch:
-            wu.add_cloud_dups(-1)
+            wu.cloud_dups -= 1
             if not wu.done:  # key shrank; completion below retires it
                 self._note_fetch_candidate(wu)
         if wu.done:
@@ -265,7 +237,7 @@ class BoincServer(DGServer):
             return
         rep.timed_out = True
         wu = rep.wu
-        wu.add_outstanding(-1)
+        wu.outstanding -= 1
         self.stats.timeouts += 1
         if wu.ok_results < self.config.min_quorum:
             self.stats.reissues += 1
@@ -301,19 +273,6 @@ class BoincServer(DGServer):
         self._fetch_seq += 1
         heappush(self._fetch_heap, (*self._fetch_key(wu),
                                     self._fetch_seq, wu))
-
-    def _fetch_candidate_scan(self, node: Node) -> Optional[TaskState]:
-        """Naive O(incomplete) candidate scan — the reference the heap
-        pick is property-tested against (tests/test_boinc_fetch_heap)."""
-        best: Optional[TaskState] = None
-        best_key = None
-        for cand in self._incomplete:
-            if not self._eligible(cand, node):
-                continue
-            key = self._fetch_key(cand)
-            if best_key is None or key < best_key:
-                best, best_key = cand, key
-        return best
 
     def fetch_for_cloud(self, node: Node) -> Optional[TaskState]:
         """Serve a dedicated cloud worker: pending replicas first, then
@@ -381,7 +340,7 @@ class BoincServer(DGServer):
         self._mark_assigned(wu, node)
         rep = _Replica(wu, node)
         rep.is_cloud_fetch = True
-        wu.add_cloud_dups(1)
+        wu.cloud_dups += 1
         self._note_fetch_candidate(wu)  # cloud_dups moved the key up
         # Stable workers cannot miss delay_bound; no timer needed.
         self._progress(rep, float("inf"))

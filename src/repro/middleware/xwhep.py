@@ -75,15 +75,6 @@ class XWHepServer(DGServer):
             return st
         return None
 
-    # The bulk `_dispatch` precondition is the base's unconditional
-    # True: `_pick_unit` never inspects the node (pure FIFO over the
-    # non-done entries, the same order the bulk pass pairs in — the
-    # `_arrive_batch` argument below, per-pass instead of per-storm),
-    # so only the pick's ``queued`` side effect needs replaying.
-    def _consume_bulk(self, units) -> None:
-        for st in units:
-            st.queued = False
-
     def _execute(self, st: TaskState, node: Node, interval_end: float,
                  is_dup: bool = False) -> None:
         t = self.sim.now
@@ -101,9 +92,9 @@ class XWHepServer(DGServer):
     def _finish(self, st: TaskState, node: Node, is_dup: bool) -> None:
         t = self.sim.now
         self._node_freed(node)
-        st.add_outstanding(-1)
+        st.outstanding -= 1
         if is_dup:
-            st.add_cloud_dups(-1)
+            st.cloud_dups -= 1
         if st.done:
             self.stats.discarded_results += 1
         else:
@@ -119,9 +110,9 @@ class XWHepServer(DGServer):
         t = self.sim.now
         self._node_freed(node)
         self.stats.preemptions += 1
-        st.add_outstanding(-1)
+        st.outstanding -= 1
         if is_dup:
-            st.add_cloud_dups(-1)
+            st.cloud_dups -= 1
         self.pool.preempted(node, t)
         self.sim.schedule(self.config.worker_timeout, self._detect, st)
         self._dispatch()
@@ -197,6 +188,6 @@ class XWHepServer(DGServer):
                 best, best_key = cand, key
         if best is None:
             return None
-        best.add_cloud_dups(1)
+        best.cloud_dups += 1
         self._execute(best, node, float("inf"), is_dup=True)
         return best

@@ -10,7 +10,7 @@ assignment), ``_execute_cloud`` (duplicate started) and ``_finish``
 interleavings of exactly those transitions — including completions,
 retired entries and per-node ineligibility — and checks the heap pick
 (:meth:`_fetch_candidate_pick`) against the naive scan
-(:meth:`_fetch_candidate_scan`, the historical loop kept as the
+(:func:`_fetch_candidate_scan`, the historical loop kept here as the
 reference) after every step.
 """
 
@@ -32,6 +32,20 @@ def _server():
 
 def _node(nid):
     return SimpleNamespace(node_id=nid)
+
+
+def _fetch_candidate_scan(server, node):
+    """Naive O(incomplete) candidate scan — the historical argmin loop
+    the heap pick replaced, kept as its reference."""
+    best = None
+    best_key = None
+    for cand in server._incomplete:
+        if not server._eligible(cand, node):
+            continue
+        key = server._fetch_key(cand)
+        if best_key is None or key < best_key:
+            best, best_key = cand, key
+    return best
 
 
 # Model of the real mutation sites: each helper applies the same state
@@ -102,7 +116,7 @@ def test_heap_pick_matches_naive_scan_under_random_interleavings(data):
             _complete(server, data.draw(st.sampled_from(live)))
         else:
             node = _node(data.draw(st.sampled_from(node_ids)))
-            expected = server._fetch_candidate_scan(node)
+            expected = _fetch_candidate_scan(server, node)
             got = server._fetch_candidate_pick(node)
             assert got is expected
     # a final pick per node: the heap must still agree after the dust
@@ -110,7 +124,7 @@ def test_heap_pick_matches_naive_scan_under_random_interleavings(data):
     for nid in node_ids:
         node = _node(nid)
         assert server._fetch_candidate_pick(node) \
-            is server._fetch_candidate_scan(node)
+            is _fetch_candidate_scan(server, node)
 
 
 def test_pick_on_empty_heap_returns_none():

@@ -177,3 +177,30 @@ def test_cli_report_table3(capsys):
 def test_cli_report_rejects_unknown(capsys):
     with pytest.raises(SystemExit):
         main(["report", "figure99"])
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["run", "--trace", "bogus"], False),
+    (["compare", "--trace", "bogus"], False),
+    (["multi", "--trace", "bogus"], False),
+    (["fed", "--traces", "bogus"], False),
+    (["sweep", "--n-dcis", "0"], False),
+    (["trace", "bogus"], True),   # argparse prints its usage first
+])
+def test_cli_config_errors_are_one_line(argv, usage, capsys):
+    """A rejected value exits 2 (argparse's usage-error code) with one
+    ``repro <verb>: ...`` message line on stderr and no traceback."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert code == 2
+    assert "Traceback" not in err
+    assert lines[-1].startswith(f"repro {argv[0]}: ")
+    assert "bogus" in lines[-1] or "n_dcis" in lines[-1]
+    if usage:
+        assert lines[0].startswith("usage: ")
+    else:
+        assert len(lines) == 1

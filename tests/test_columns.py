@@ -13,7 +13,7 @@ import pytest
 from repro.infra.columns import ColumnNode
 from repro.infra.node import Node
 from repro.infra.pool import NodePool
-from trace_oracle import columns_from_raw
+from trace_oracle import columns_from_raw, flat_from_raw
 
 
 def _fleet_raw(seed: int, n: int = 30):
@@ -236,14 +236,38 @@ def test_capture_filing_rejects_unvectorized_pools():
         col_pool.capture_filing()
 
 
-def test_trace_cache_materialize_pool_reuses_filing():
-    from repro.experiments.harness import TraceCache
+def _build_twice(monkeypatch, flat=None):
+    """Two ``build_dci`` calls on one DCI spec, against fresh trace and
+    assembly caches; ``flat`` replaces the generated realization."""
+    from repro.experiments import harness
 
-    cache = TraceCache()
-    kw = dict(trace="nd", seed=3, cap=25, horizon=2 * 86400.0)
-    p1 = cache.materialize_pool(rng=np.random.default_rng([3, 0xB00]),
-                                **kw)
-    assert len(cache._filings) == 1  # skeleton captured on first build
-    p2 = cache.materialize_pool(rng=np.random.default_rng([3, 0xB00]),
-                                **kw)
-    assert _drive(p1) == _drive(p2)
+    monkeypatch.setattr(harness, "TRACE_CACHE", harness.TraceCache())
+    monkeypatch.setattr(harness, "ASSEMBLY_CACHE", harness.AssemblyCache())
+    if flat is not None:
+        monkeypatch.setattr(harness.TRACE_CACHE, "_materialize_miss",
+                            lambda key: flat)
+    pools = [harness.ScenarioHarness(horizon=2 * 86400.0).build_dci(
+        "d0", trace="nd", middleware="xwhep", seed=3, cap=25).pool
+        for _ in range(2)]
+    fresh = NodePool(harness.TRACE_CACHE.materialize_columns(
+        "nd", 3, 25, 2 * 86400.0), rng=np.random.default_rng([3, 0xB00]))
+    return harness.ASSEMBLY_CACHE, pools, fresh
+
+
+def test_assembly_cache_reuses_pool_filing(monkeypatch):
+    """The assembly skeleton captures the t=0 filing on its miss and
+    restores it on the hit; both pools drive exactly like a freshly
+    filed one.  A degenerate template (an interval ending before t=0)
+    has no capturable filing and is filed afresh on every build."""
+    cache, (p1, p2), fresh = _build_twice(monkeypatch)
+    assert (cache.misses, cache.hits) == (1, 1)
+    assert p1.vector_filed and p2.vector_filed
+    assert _drive(p1) == _drive(p2) == _drive(fresh)
+
+    raw = _fleet_raw(200, n=10)
+    raw[7] = (np.array([-3.0]), np.array([-2.0]), 1.0, "gone")
+    cache, (p1, p2), fresh = _build_twice(monkeypatch, flat_from_raw(raw))
+    assert (cache.misses, cache.hits) == (1, 1)
+    assert next(iter(cache._skeletons.values())).filing is None
+    assert not p1.vector_filed and not p2.vector_filed
+    assert _drive(p1) == _drive(p2) == _drive(fresh)

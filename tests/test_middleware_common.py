@@ -10,6 +10,7 @@ from repro.middleware import MIDDLEWARE_NAMES, make_server
 from repro.middleware.boinc import BoincConfig
 from repro.simulator.engine import Simulation
 from repro.workload.bot import BagOfTasks, Task
+from trace_oracle import columns_from_raw
 
 
 def stable(nid, power=1000.0):
@@ -173,3 +174,51 @@ def test_two_bots_complete_independently(kind):
     t_alpha = dict(finished)["alpha"]
     t_beta = dict(finished)["beta"]
     assert t_alpha < t_beta  # alpha's tasks are 5x shorter
+
+
+# ---------------------------------------------------------------------------
+# wake-up teardown
+# ---------------------------------------------------------------------------
+def test_teardown_cancels_armed_wakeup():
+    """A drained run must not keep a dead dispatch wake-up event in the
+    heap once the server is torn down."""
+    sim = Simulation(horizon=10_000.0)
+    node = Node(0, 1000.0, np.asarray([500.0]), np.asarray([600.0]))
+    pool = NodePool([node], rng=np.random.default_rng(0))
+    server = make_server("xwhep", sim, pool)
+    server.submit_bot(BagOfTasks(
+        bot_id="b0", tasks=[Task(task_id=0, nops=1000.0)]), at=0.0)
+    sim.run(until=100.0)  # arrival found no node: wake-up armed at 500
+    assert server._wakeup is not None and not server._wakeup.cancelled
+    server.teardown()
+    assert server._wakeup is None
+    assert sim.pending() == 0
+
+
+def test_stop_hook_tears_down_harness_servers():
+    """The stop-when-complete watcher wires server teardown through the
+    engine's stop hooks: after a stopped run no wake-up survives."""
+    from repro.cloud.registry import get_driver
+    from repro.experiments.harness import ScenarioHarness
+
+    harness = ScenarioHarness(horizon=1_000_000.0)
+    g = np.random.default_rng(11)
+    raw = []
+    for _ in range(6):
+        k = int(g.integers(1, 5))
+        pts = np.sort(g.choice(400, size=2 * k, replace=False)).astype(float)
+        raw.append((pts[0::2].copy(), pts[1::2].copy(),
+                    float(g.integers(1, 4)) * 500.0, "trace"))
+    sim = harness.sim
+    pool = NodePool(columns_from_raw(raw).fresh(),
+                    rng=np.random.default_rng(2))
+    server = make_server("xwhep", sim, pool)
+    driver = get_driver("simulation", sim, rng=np.random.default_rng(3))
+    harness.add_dci("d0", server, driver)
+    g = np.random.default_rng(5)
+    server.submit_bot(BagOfTasks(bot_id="b0", tasks=[
+        Task(task_id=i, nops=float(g.integers(1, 60)) * 1000.0)
+        for i in range(6)]), at=0.0)
+    harness.stop_when_complete(["b0"])
+    harness.run()
+    assert server._wakeup is None or server._wakeup.cancelled

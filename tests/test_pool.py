@@ -350,3 +350,57 @@ def test_ghost_compaction_keeps_pool_drawable():
     assert all(g is not None for g in got)
     assert sorted(n.node_id for n, _end in got) == list(range(12))
     assert pool.acquire(t) is None
+
+
+# ---------------------------------------------------------------------------
+# acquire_many vs scalar acquire
+# ---------------------------------------------------------------------------
+def _rand_fleet(seed: int, n: int):
+    """Raw per-node arrays with sorted, non-overlapping intervals."""
+    g = np.random.default_rng(seed)
+    raw = []
+    for _ in range(n):
+        k = int(g.integers(1, 5))
+        pts = np.sort(g.choice(400, size=2 * k, replace=False)).astype(float)
+        raw.append((pts[0::2].copy(), pts[1::2].copy(),
+                    float(g.integers(1, 4)) * 500.0, "trace"))
+    return raw
+
+
+@settings(max_examples=60, deadline=None)
+@given(fleet_seed=st.integers(0, 1000), n=st.integers(1, 8),
+       rng_seed=st.integers(0, 1000), data=st.data())
+def test_acquire_many_equals_sequential_acquires(fleet_seed, n, rng_seed,
+                                                 data):
+    """Bulk acquisition replays the scalar draw sequence exactly —
+    same (node, end) pairs, same RNG state — including dry draws and
+    interleaved release/preempt churn between batches."""
+    template = columns_from_raw(_rand_fleet(fleet_seed, n))
+    pool_a = NodePool(template.fresh(), rng=rng(rng_seed))
+    pool_b = NodePool(template.fresh(), rng=rng(rng_seed))
+    t = 0.0
+    for _round in range(6):
+        t += float(data.draw(st.integers(0, 80), label="dt"))
+        k = data.draw(st.integers(0, n + 2), label="k")
+        got_a = pool_a.acquire_many(t, k)
+        got_b = []
+        for _ in range(k):
+            g = pool_b.acquire(t)
+            if g is None:
+                break
+            got_b.append(g)
+        assert ([(nd.node_id, end) for nd, end in got_a]
+                == [(nd.node_id, end) for nd, end in got_b])
+        assert (pool_a._rng.bit_generator.state
+                == pool_b._rng.bit_generator.state)
+        t += float(data.draw(st.integers(0, 80), label="dt2"))
+        for (na, end_a), (nb, _eb) in zip(got_a, got_b):
+            if t < end_a:
+                pool_a.release(na, t)
+                pool_b.release(nb, t)
+            else:
+                pool_a.preempted(na, t)
+                pool_b.preempted(nb, t)
+    assert pool_a._ready_end_of == {
+        nid: (end, nid if type(e) is int else e.node_id)
+        for nid, (end, e) in pool_b._ready_end_of.items()}
