@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -177,16 +177,20 @@ class ComputeDriver:
 def peak_concurrency(instances: "Iterable[CloudInstance]") -> int:
     """Peak simultaneously alive instances over any instance set.
 
-    Sweeps the create/destroy deltas; still-alive instances count to
-    the end of the history.
+    Sweeps the create/destroy deltas in time order, a destroy before
+    a create at the same instant; still-alive instances count to the
+    end of the history.
     """
-    deltas: List[Tuple[float, int]] = []
+    created: List[float] = []
+    destroyed: List[float] = []
     for inst in instances:
-        deltas.append((inst.created_at, 1))
+        created.append(inst.created_at)
         if inst.destroyed_at is not None:
-            deltas.append((inst.destroyed_at, -1))
-    peak = cur = 0
-    for _t, delta in sorted(deltas):
-        cur += delta
-        peak = max(peak, cur)
-    return peak
+            destroyed.append(inst.destroyed_at)
+    if not created:
+        return 0
+    times = np.array(created + destroyed)
+    deltas = np.ones(times.size, dtype=np.int64)
+    deltas[len(created):] = -1
+    running = np.cumsum(deltas[np.lexsort((deltas, times))])
+    return max(0, int(running.max()))

@@ -122,7 +122,7 @@ class CloudDuplicationCoordinator:
         self.queue: Deque[GTID] = deque()
         self.queued: set[GTID] = set()
         self.running: Dict[int, GTID] = {}   # node_id -> gtid
-        self.workers: List[Node] = []
+        self.workers: Dict[int, Node] = {}   # node_id -> node
         self.completions = 0
         self._on_starved = on_starved
         self._synced = False
@@ -154,18 +154,17 @@ class CloudDuplicationCoordinator:
         return fresh
 
     def add_worker(self, node: Node) -> None:
-        self.workers.append(node)
+        self.workers[node.node_id] = node
         boot = max(self.sim.now, float(node.starts[0]))
         self.sim.at(boot, self._feed, node)
 
     def remove_worker(self, node: Node) -> None:
-        if node in self.workers:
-            self.workers.remove(node)
+        self.workers.pop(node.node_id, None)
 
     # ------------------------------------------------------------------
     def _feed(self, node: Node) -> None:
         """Hand the next useful copy to an idle cloud worker."""
-        if node not in self.workers or node.node_id in self.running:
+        if node.node_id not in self.workers or node.node_id in self.running:
             return
         while self.queue:
             gtid = self.queue.popleft()

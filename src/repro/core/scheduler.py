@@ -355,7 +355,7 @@ class SpeQuloSScheduler:
                      monitor=mon, oracle=Oracle(self.info, combo),
                      combo=combo, deadline=deadline)
         self.runs[bot_id] = run
-        server.add_observer(_CompletionWatcher(self, run))
+        server.add_observer(_CompletionWatcher(self, run), bot_id=bot_id)
         self._ensure_ticking()
         return run
 
@@ -683,14 +683,13 @@ class SpeQuloSScheduler:
 
 
 class _CompletionWatcher:
-    """Server observer that finalizes a run the instant its BoT ends
-    (so credit accounting is settled even if the simulation stops on
-    the completion event)."""
+    """Server observer, bound to its run's BoT, that finalizes the run
+    the instant the BoT ends (so credit accounting is settled even if
+    the simulation stops on the completion event)."""
 
     def __init__(self, scheduler: SpeQuloSScheduler, run: QoSRun):
         self.scheduler = scheduler
         self.run = run
 
     def on_bot_completed(self, bot_id: str, t: float) -> None:
-        if bot_id == self.run.bot_id:
-            self.scheduler.finalize(self.run)
+        self.scheduler.finalize(self.run)

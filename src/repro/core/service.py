@@ -106,7 +106,7 @@ class SpeQuloS:
         binding = self.dcis[dci]
         t0 = self.sim.now if submit_time is None else submit_time
         mon = self.info.register(bot, t0)
-        binding.server.add_observer(mon)
+        binding.server.add_observer(mon, bot_id=bot.bot_id)
         combo = combo or StrategyCombo()
         self._bot_dci[bot.bot_id] = dci
         self._bot_env[bot.bot_id] = self.env_key(dci, bot.category)

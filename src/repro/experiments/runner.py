@@ -163,7 +163,7 @@ def run_execution(cfg: ExecutionConfig,
         # standalone observer so both arms record identical series.
         from repro.core.info import BoTMonitor
         monitor = BoTMonitor(bot, 0.0)
-        server.add_observer(monitor)
+        server.add_observer(monitor, bot_id=bot_id)
 
     harness.stop_when_complete([bot_id])
     server.submit_bot(bot, at=0.0)

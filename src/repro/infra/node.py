@@ -22,6 +22,10 @@ import numpy as np
 
 __all__ = ["Node", "nodes_from_flat"]
 
+#: the ``ends`` of every stable node: one shared, read-only ``[inf]``
+_STABLE_ENDS = np.array([math.inf])
+_STABLE_ENDS.flags.writeable = False
+
 
 class Node:
     """A (possibly volatile) computing resource.
@@ -68,10 +72,27 @@ class Node:
     @classmethod
     def stable(cls, node_id: int, power: float, start: float = 0.0,
                tag: str = "cloud") -> "Node":
-        """A never-failing node (cloud worker), available from ``start``."""
-        return cls(node_id, power,
-                   np.array([start]), np.array([math.inf]),
-                   cloud=True, tag=tag)
+        """A never-failing node (cloud worker), available from ``start``.
+
+        Same validation and state as ``cls(node_id, power, [start],
+        [inf], cloud=True, tag=tag)``, with scalar checks in place of
+        the array reductions (one is built per provisioned worker).
+        """
+        if power <= 0:
+            raise ValueError(f"node power must be positive, got {power}")
+        start = float(start)
+        if not start < math.inf:
+            raise ValueError("intervals must be positive-length, sorted "
+                             "and non-overlapping")
+        node = cls.__new__(cls)
+        node.node_id = int(node_id)
+        node.power = float(power)
+        node.starts = np.array([start])
+        node.ends = _STABLE_ENDS
+        node.cloud = True
+        node.tag = tag
+        node._idx = 0
+        return node
 
     # ------------------------------------------------------------------
     def _advance(self, t: float) -> None:

@@ -11,7 +11,8 @@ Both middleware models (BOINC, XtremWeb-HEP) share the same skeleton:
 * the cloud-worker integration points used by the three deployment
   strategies of §3.5: *Flat* (cloud nodes join the ordinary pool),
   *Reschedule* (:meth:`DGServer.fetch_for_cloud` serves pending work
-  first, then duplicates of running work) and *Cloud duplication*
+  first, then duplicates of running work, picked from the fetch index
+  of incomplete tasks) and *Cloud duplication*
   (:meth:`DGServer.external_complete` merges results computed on a
   separate cloud-side server).
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Deque, Dict, List, Optional, Protocol, Tuple
 
 from repro.infra.node import Node
@@ -144,11 +146,27 @@ class DGServer:
         self.tasks: Dict[GTID, TaskState] = {}
         self.pending: Deque = deque()
         self.observers: List[ServerObserver] = []
-        #: event name -> bound observer methods (built in add_observer,
-        #: so _emit never pays a getattr per event per observer)
+        #: event name -> bound methods of the every-BoT observers (built
+        #: in add_observer, so _emit never pays a getattr per event)
         self._obs_methods: Dict[str, List] = {
             name: [] for name in self.OBSERVER_EVENTS}
+        #: bot_id -> the same table for a BoT with bound observers: the
+        #: every-BoT methods plus its own, in registration order
+        self._obs_by_bot: Dict[str, Dict[str, List]] = {}
         self._bots: Dict[str, _BotProgress] = {}
+        #: incomplete tasks: the Reschedule fetch candidates
+        self._incomplete: set[TaskState] = set()
+        # Lazily-invalidated min-heap over the fetch candidates, keyed
+        # (cloud_dups, first_assign_time|inf, gtid) — the argmin scan's
+        # ordering.  None until the first candidate pick builds it, so
+        # runs that never fetch a duplicate pay nothing.  Invariant
+        # once built: every key change of an incomplete task pushes a
+        # fresh entry (_note_fetch_candidate), so the least fresh entry
+        # IS the scan's argmin; outdated entries are dropped when
+        # popped.  The seq field breaks ties between duplicate entries
+        # of one task before the (uncomparable) TaskState is reached.
+        self._fetch_heap: Optional[List[Tuple]] = None
+        self._fetch_seq = 0
         self._busy: Dict[int, GTID] = {}          # node_id -> gtid
         self._wakeup: Optional[Event] = None
         #: nodes flagged as cloud workers currently registered via Flat
@@ -200,7 +218,9 @@ class DGServer:
         prog.arrived += 1
         prog.uncompleted[gtid] = None
         self.stats.arrivals += 1
-        self._emit("on_task_arrived", gtid, t)
+        self._emit("on_task_arrived", bot_id, gtid, t)
+        self._incomplete.add(st)
+        self._note_fetch_candidate(st)
         self._enqueue_new(st)
 
     def _arrive_batch(self, argslist) -> None:
@@ -313,10 +333,12 @@ class DGServer:
         self._busy[node.node_id] = st.gtid
         if st.first_assign_time is None:
             st.first_assign_time = t
-            prog = self._bots.get(st.gtid[0])
+            self._note_fetch_candidate(st)  # the key left inf
+            bot_id = st.gtid[0]
+            prog = self._bots.get(bot_id)
             if prog is not None:
                 prog.assigned += 1
-            self._emit("on_task_first_assigned", st.gtid, t)
+            self._emit("on_task_first_assigned", bot_id, st.gtid, t)
 
     def _node_freed(self, node: Node) -> None:
         self._busy.pop(node.node_id, None)
@@ -373,13 +395,14 @@ class DGServer:
         st.done = True
         st.completion_time = t
         self.stats.completions += 1
-        self._emit("on_task_completed", st.gtid, t)
-        prog = self._bots.get(st.gtid[0])
+        bot_id = st.gtid[0]
+        self._emit("on_task_completed", bot_id, st.gtid, t)
+        prog = self._bots.get(bot_id)
         if prog is not None:
             prog.completed += 1
             prog.uncompleted.pop(st.gtid, None)
             if prog.completed == prog.total:
-                self._emit("on_bot_completed", st.gtid[0], t)
+                self._emit("on_bot_completed", bot_id, bot_id, t)
 
     def external_complete(self, gtid: GTID, t: float) -> bool:
         """A result for this task was computed outside this server
@@ -441,15 +464,108 @@ class DGServer:
         return prog.assigned if prog is not None else 0
 
     # ------------------------------------------------------------------
-    def add_observer(self, obs: ServerObserver) -> None:
-        """Subscribe; the observer's methods are bound once, here —
-        methods added to the object afterwards are not seen."""
+    # Reschedule fetch index (shared by both middleware)
+    # ------------------------------------------------------------------
+    def _fetch_eligible(self, st: TaskState, node: Node) -> bool:
+        """Whether an incomplete task may get a duplicate on ``node``
+        (checked at pick time, so it may change without a key change)."""
+        raise NotImplementedError
+
+    def _fetch_key(self, st: TaskState) -> Tuple:
+        """The candidate ordering of the historical argmin scan."""
+        return (st.cloud_dups,
+                st.first_assign_time if st.first_assign_time is not None
+                else float("inf"),
+                st.gtid)
+
+    def _note_fetch_candidate(self, st: TaskState) -> None:
+        """Push the task's *current* key onto the fetch heap.
+
+        Called at every site that changes a key component while the
+        task is incomplete (arrival, first assignment, duplicate start
+        and end) — the freshness invariant the heap pick relies on.  A
+        no-op until the first pick builds the heap.  Old entries are
+        not removed; :meth:`_fetch_candidate_pick` drops them when
+        they surface.
+        """
+        if self._fetch_heap is None:
+            return
+        self._fetch_seq += 1
+        heappush(self._fetch_heap, (*self._fetch_key(st),
+                                    self._fetch_seq, st))
+
+    def _fetch_candidate_pick(self, node: Node) -> Optional[TaskState]:
+        """The least-served incomplete task ``node`` may duplicate.
+
+        Pops the lazily-invalidated heap instead of scanning
+        ``_incomplete``: outdated and completed entries are dropped,
+        entries ineligible right now are set aside and pushed back,
+        and the first fresh eligible entry is exactly the scan's
+        argmin (unique gtid tiebreak + the freshness invariant).
+        """
+        heap = self._fetch_heap
+        if heap is None or (len(heap) > 64
+                            and len(heap) > 4 * len(self._incomplete)):
+            heap = self._rebuild_fetch_heap()
+        best: Optional[TaskState] = None
+        stash: List[Tuple] = []
+        while heap:
+            entry = heappop(heap)
+            cand = entry[4]
+            if cand.done:
+                continue  # retired; drop every copy for good
+            if (entry[0] != cand.cloud_dups
+                    or entry[1] != (cand.first_assign_time
+                                    if cand.first_assign_time is not None
+                                    else float("inf"))):
+                continue  # outdated key; a fresh entry exists below
+            stash.append(entry)  # fresh: kept whether picked or not
+            if self._fetch_eligible(cand, node):
+                best = cand  # its key changes next; the entry dies lazily
+                break
+        for entry in stash:
+            heappush(heap, entry)
+        return best
+
+    def _rebuild_fetch_heap(self) -> List[Tuple]:
+        """(Re)build the heap from ``_incomplete``: on the first pick,
+        and to compact away outdated entries once the heap far
+        outgrows the candidate set."""
+        heap = []
+        for st in self._incomplete:
+            self._fetch_seq += 1
+            heap.append((*self._fetch_key(st), self._fetch_seq, st))
+        heapify(heap)
+        self._fetch_heap = heap
+        return heap
+
+    # ------------------------------------------------------------------
+    def add_observer(self, obs: ServerObserver,
+                     bot_id: Optional[str] = None) -> None:
+        """Subscribe to every BoT's events, or only to ``bot_id``'s.
+
+        The observer's methods are bound once, here — methods added to
+        the object afterwards are not seen.  Each BoT with a bound
+        observer gets its own method table: the every-BoT methods
+        registered so far, then every later registration that concerns
+        it, so delivery keeps registration order.
+        """
         self.observers.append(obs)
-        for name, lst in self._obs_methods.items():
+        if bot_id is None:
+            tables = [self._obs_methods, *self._obs_by_bot.values()]
+        else:
+            table = self._obs_by_bot.get(bot_id)
+            if table is None:
+                table = self._obs_by_bot[bot_id] = {
+                    name: list(fns)
+                    for name, fns in self._obs_methods.items()}
+            tables = [table]
+        for name in self.OBSERVER_EVENTS:
             fn = getattr(obs, name, None)
             if fn is not None:
-                lst.append(fn)
+                for table in tables:
+                    table[name].append(fn)
 
-    def _emit(self, method: str, *args) -> None:
-        for fn in self._obs_methods[method]:
+    def _emit(self, method: str, bot_id: str, *args) -> None:
+        for fn in self._obs_by_bot.get(bot_id, self._obs_methods)[method]:
             fn(*args)

@@ -24,8 +24,7 @@ server reacts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.infra.node import Node
 from repro.infra.pool import NodePool
@@ -76,18 +75,6 @@ class BoincServer(DGServer):
                  config: Optional[BoincConfig] = None, name: str = "boinc"):
         super().__init__(sim, pool, name)
         self.config = config or BoincConfig()
-        #: incomplete workunits, for cloud duplication candidate scans
-        self._incomplete: set[TaskState] = set()
-        # Lazily-invalidated min-heap over the cloud-fetch candidates,
-        # keyed (cloud_dups, first_assign_time|inf, gtid) — the naive
-        # scan's ordering.  Invariant: every key change of an
-        # incomplete workunit pushes a fresh entry (_note_fetch_
-        # candidate), so the least fresh entry IS the scan's argmin;
-        # outdated entries are skipped (and dropped) when popped.  The
-        # seq field breaks ties between duplicate entries of one
-        # workunit before the (uncomparable) TaskState is reached.
-        self._fetch_heap: List[Tuple] = []
-        self._fetch_seq = 0
         # The big same-instant producers: every replica assigned during
         # an arrival storm schedules its delay_bound timer at the same
         # future instant, and node churn lands suspend/resume waves on
@@ -103,8 +90,6 @@ class BoincServer(DGServer):
     # ------------------------------------------------------------------
     def _enqueue_new(self, st: TaskState) -> None:
         """Issue ``target_nresults`` replicas of a fresh workunit."""
-        self._incomplete.add(st)
-        self._note_fetch_candidate(st)
         for _ in range(self.config.target_nresults):
             self.pending.append(st)
 
@@ -115,6 +100,9 @@ class BoincServer(DGServer):
                 and node.node_id in wu.workers):
             return False
         return True
+
+    #: a cloud duplicate also obeys one-result-per-user
+    _fetch_eligible = _eligible
 
     def _pick_unit(self, node: Node) -> Optional[TaskState]:
         pending = self.pending
@@ -127,10 +115,7 @@ class BoincServer(DGServer):
         return None
 
     def _execute(self, wu: TaskState, node: Node, interval_end: float) -> None:
-        fresh_fat = wu.first_assign_time is None
         self._mark_assigned(wu, node)
-        if fresh_fat:  # first assignment moved the fetch key off inf
-            self._note_fetch_candidate(wu)
         rep = _Replica(wu, node)
         rep.timeout_ev = self.sim.schedule(self.config.delay_bound,
                                            self._timeout, rep)
@@ -180,6 +165,7 @@ class BoincServer(DGServer):
         wu = rep.wu
         if rep.timeout_ev is not None:
             rep.timeout_ev.cancel()
+            rep.timeout_ev = None  # the event's args hold rep: no cycle
         self._node_freed(rep.node)
         if not rep.timed_out:
             wu.outstanding -= 1
@@ -233,6 +219,7 @@ class BoincServer(DGServer):
     def _timeout(self, rep: _Replica) -> None:
         """``delay_bound`` elapsed with no result: write the replica off
         (it may still return later) and generate a replacement."""
+        rep.timeout_ev = None  # fired; drop the rep <-> event cycle
         if rep.finished or rep.wu.done:
             return
         rep.timed_out = True
@@ -254,86 +241,17 @@ class BoincServer(DGServer):
     # ------------------------------------------------------------------
     # Reschedule-strategy cloud interface
     # ------------------------------------------------------------------
-    def _fetch_key(self, wu: TaskState) -> Tuple:
-        """The candidate ordering of the historical min-scan."""
-        return (wu.cloud_dups,
-                wu.first_assign_time if wu.first_assign_time is not None
-                else float("inf"),
-                wu.gtid)
-
-    def _note_fetch_candidate(self, wu: TaskState) -> None:
-        """Push the workunit's *current* key onto the fetch heap.
-
-        Called at every site that changes a key component while the
-        workunit is incomplete (enqueue, first assignment, cloud-dup
-        start/return) — the freshness invariant the heap pick relies
-        on.  Old entries are not removed; :meth:`fetch_for_cloud`
-        drops them when they surface.
-        """
-        self._fetch_seq += 1
-        heappush(self._fetch_heap, (*self._fetch_key(wu),
-                                    self._fetch_seq, wu))
-
     def fetch_for_cloud(self, node: Node) -> Optional[TaskState]:
         """Serve a dedicated cloud worker: pending replicas first, then
-        an extra replica of the least-served incomplete workunit.
-
-        The candidate pick pops the lazily-invalidated heap instead of
-        scanning ``_incomplete``: outdated and completed entries are
-        dropped, entries ineligible for *this* node (one-result-per-
-        user) are set aside and pushed back, and the first fresh
-        eligible entry is exactly the scan's argmin (unique gtid
-        tiebreak + the freshness invariant).
-        """
+        an extra replica of the least-served incomplete workunit it may
+        run (the fetch index's pick)."""
         wu = self._pick_unit(node)
-        if wu is not None:
-            self._execute_cloud(wu, node)
-            return wu
-        best = self._fetch_candidate_pick(node)
-        if best is None:
-            return None
-        self._execute_cloud(best, node)
-        return best
-
-    def _fetch_candidate_pick(self, node: Node) -> Optional[TaskState]:
-        """Heap-based candidate pick — equals the naive scan's argmin."""
-        heap = self._fetch_heap
-        if len(heap) > 64 and len(heap) > 4 * len(self._incomplete):
-            self._rebuild_fetch_heap()
-            heap = self._fetch_heap
-        one_per_user = self.config.one_result_per_user_per_wu
-        nid = node.node_id
-        best: Optional[TaskState] = None
-        stash: List[Tuple] = []
-        while heap:
-            entry = heappop(heap)
-            cand = entry[4]
-            if cand.done:
-                continue  # retired; drop every copy for good
-            if (entry[0] != cand.cloud_dups
-                    or entry[1] != (cand.first_assign_time
-                                    if cand.first_assign_time is not None
-                                    else float("inf"))):
-                continue  # outdated key; a fresh entry exists below
-            if one_per_user and nid in cand.workers:
-                stash.append(entry)  # valid, just not for this node
-                continue
-            best = cand
-            stash.append(entry)  # key changes next; entry dies lazily
-            break
-        for entry in stash:
-            heappush(heap, entry)
-        return best
-
-    def _rebuild_fetch_heap(self) -> None:
-        """Compact away accumulated outdated entries (heuristic,
-        triggered when the heap far outgrows the candidate set)."""
-        self._fetch_heap = []
-        for wu in self._incomplete:
-            self._fetch_seq += 1
-            self._fetch_heap.append((*self._fetch_key(wu),
-                                     self._fetch_seq, wu))
-        heapify(self._fetch_heap)
+        if wu is None:
+            wu = self._fetch_candidate_pick(node)
+            if wu is None:
+                return None
+        self._execute_cloud(wu, node)
+        return wu
 
     def _execute_cloud(self, wu: TaskState, node: Node) -> None:
         """Start an extra replica on a dedicated (stable) cloud worker."""

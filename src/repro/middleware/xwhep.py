@@ -48,8 +48,6 @@ class XWHepServer(DGServer):
                  config: Optional[XWHepConfig] = None, name: str = "xwhep"):
         super().__init__(sim, pool, name)
         self.config = config or XWHepConfig()
-        #: incomplete tasks, for cloud duplication candidate scans
-        self._incomplete: set[TaskState] = set()
         # Same-instant preemption waves (a DCI-wide availability edge
         # kills many pilot jobs at once) and the detection tick 900 s
         # later batch through the engine; handlers replay the per-event
@@ -61,7 +59,6 @@ class XWHepServer(DGServer):
     # base hooks
     # ------------------------------------------------------------------
     def _enqueue_new(self, st: TaskState) -> None:
-        self._incomplete.add(st)
         st.queued = True
         self.pending.append(st)
 
@@ -113,6 +110,8 @@ class XWHepServer(DGServer):
         st.outstanding -= 1
         if is_dup:
             st.cloud_dups -= 1
+            if not st.done:
+                self._note_fetch_candidate(st)
         self.pool.preempted(node, t)
         self.sim.schedule(self.config.worker_timeout, self._detect, st)
         self._dispatch()
@@ -168,6 +167,9 @@ class XWHepServer(DGServer):
     # ------------------------------------------------------------------
     # Reschedule-strategy cloud interface
     # ------------------------------------------------------------------
+    def _fetch_eligible(self, st: TaskState, node: Node) -> bool:
+        return not st.queued  # a queued task is pending work, not a dup
+
     def fetch_for_cloud(self, node: Node) -> Optional[TaskState]:
         """Serve a dedicated cloud worker: pending tasks first, then a
         duplicate of the least-served uncompleted task (§3.5 R)."""
@@ -175,19 +177,10 @@ class XWHepServer(DGServer):
         if st is not None:
             self._execute(st, node, float("inf"))
             return st
-        best: Optional[TaskState] = None
-        best_key = None
-        for cand in self._incomplete:
-            if cand.done or cand.queued:
-                continue
-            key = (cand.cloud_dups,
-                   cand.first_assign_time if cand.first_assign_time
-                   is not None else float("inf"),
-                   cand.gtid)
-            if best_key is None or key < best_key:
-                best, best_key = cand, key
+        best = self._fetch_candidate_pick(node)
         if best is None:
             return None
         best.cloud_dups += 1
+        self._note_fetch_candidate(best)
         self._execute(best, node, float("inf"), is_dup=True)
         return best

@@ -1,10 +1,20 @@
 """Cloud substrate: drivers, instances, worker agents, coordinators."""
 
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cloud.api import CloudError, ComputeDriver, ProviderProfile, QuotaExceeded
+from repro.cloud.api import (
+    CloudError,
+    ComputeDriver,
+    ProviderProfile,
+    QuotaExceeded,
+    peak_concurrency,
+)
 from repro.cloud.registry import PROVIDER_NAMES, get_driver, list_providers
 from repro.cloud.worker import CloudDuplicationCoordinator, RescheduleAgent
 from repro.infra.node import Node
@@ -18,6 +28,52 @@ def bot_of(n, nops=1000.0, bot_id="b"):
     return BagOfTasks(bot_id=bot_id,
                       tasks=[Task(i, nops) for i in range(n)],
                       wall_clock=nops / 1000.0)
+
+
+# ------------------------------------------------------------ peak sweep
+def _tuple_sweep(instances):
+    """The historical peak sweep over sorted ``(t, delta)`` tuples,
+    kept as :func:`peak_concurrency`'s reference."""
+    deltas = []
+    for inst in instances:
+        deltas.append((inst.created_at, 1))
+        if inst.destroyed_at is not None:
+            deltas.append((inst.destroyed_at, -1))
+    peak = cur = 0
+    for _t, delta in sorted(deltas):
+        cur += delta
+        peak = max(peak, cur)
+    return peak
+
+
+# few distinct instants, so equal-time creates and destroys are common
+_instances = st.lists(st.tuples(
+    st.integers(0, 6).map(lambda k: k * 0.5),
+    st.one_of(st.none(), st.integers(0, 4).map(lambda k: k * 0.5))),
+    max_size=40).map(lambda rows: [
+        SimpleNamespace(created_at=c,
+                        destroyed_at=None if d is None else c + d)
+        for c, d in rows])
+
+
+@given(_instances)
+@settings(max_examples=300, deadline=None)
+def test_peak_concurrency_matches_tuple_sweep(instances):
+    assert peak_concurrency(instances) == _tuple_sweep(instances)
+    assert peak_concurrency(iter(instances)) == _tuple_sweep(instances)
+
+
+def test_peak_concurrency_edges():
+    inst = SimpleNamespace
+    assert peak_concurrency([]) == 0
+    # a destroy and a create at one instant: the destroy goes first
+    assert peak_concurrency([inst(created_at=0.0, destroyed_at=5.0),
+                             inst(created_at=5.0, destroyed_at=None)]) == 1
+    # never-destroyed instances count to the end of the history
+    assert peak_concurrency([inst(created_at=t, destroyed_at=None)
+                             for t in (3.0, 1.0, 2.0)]) == 3
+    assert isinstance(peak_concurrency([inst(created_at=0.0,
+                                             destroyed_at=0.0)]), int)
 
 
 # ----------------------------------------------------------------- drivers

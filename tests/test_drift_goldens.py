@@ -11,11 +11,18 @@ the per-host pool probes the batched ones replaced: three routed
 federations whose routers probe every pool at each arrival.  If a
 change *intends* to alter simulation semantics, recapture the goldens
 and say so in the commit.
+
+The same runs also pin that a simulation leaves no reference cycles
+behind: reference counting alone frees everything a run discards, so
+the cyclic collector only has to walk the live world.
 """
 
+import contextlib
+import gc
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.deployment.edgi import EDGIConfig, EDGIDeployment, run_edgi
@@ -30,6 +37,11 @@ from repro.experiments.runner import (
     run_federated,
     run_multi_tenant,
 )
+from repro.infra.node import Node
+from repro.infra.pool import NodePool
+from repro.middleware.boinc import BoincConfig, BoincServer
+from repro.simulator.engine import Simulation
+from repro.workload.bot import BagOfTasks, Task
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -43,12 +55,53 @@ _GOLDENS = _load("drift_goldens.json")
 _EDGI = _load("edgi_goldens.json")
 
 
+@contextlib.contextmanager
+def _post_run_garbage():
+    """Yield the type names of the garbage found right after each
+    ``Simulation.run`` inside the block.
+
+    The collector is off meanwhile.  A collection right before every
+    run clears what world assembly left (``ast.literal_eval``, which
+    NumPy uses to parse ``.npz`` headers, leaves closure cycles); the
+    one right after it, with ``gc.DEBUG_SAVEALL`` and the world still
+    referenced, sees only cycles the run itself created.
+    """
+    found = []
+    run = Simulation.run
+
+    def run_then_collect(self, *args, **kwargs):
+        gc.collect()
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                gc.collect()
+                found.extend(type(obj).__name__ for obj in gc.garbage)
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    Simulation.run = run_then_collect
+    try:
+        yield found
+    finally:
+        Simulation.run = run
+        if enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize("golden", _GOLDENS["execution"],
                          ids=lambda g: "-".join(
                              str(g["config"][k]) for k in
                              ("trace", "middleware", "seed")))
 def test_run_execution_matches_pre_harness_golden(golden):
-    res = run_execution(ExecutionConfig(**golden["config"]))
+    with _post_run_garbage() as garbage:
+        res = run_execution(ExecutionConfig(**golden["config"]))
+    assert garbage == []
     assert res.makespan == golden["makespan"]
     assert res.censored == golden["censored"]
     assert res.events == golden["events"]
@@ -67,7 +120,9 @@ def test_run_execution_matches_pre_harness_golden(golden):
                              str(g["config"][k]) for k in
                              ("trace", "policy", "seed")))
 def test_run_multi_tenant_matches_pre_harness_golden(golden):
-    res = run_multi_tenant(MultiTenantConfig(**golden["config"]))
+    with _post_run_garbage() as garbage:
+        res = run_multi_tenant(MultiTenantConfig(**golden["config"]))
+    assert garbage == []
     assert res.events == golden["events"]
     assert res.pool_provisioned == golden["pool_provisioned"]
     assert res.pool_spent == golden["pool_spent"]
@@ -97,7 +152,9 @@ def test_run_federated_matches_golden(golden):
     """A routed federation, byte for byte: the load-reading routers
     probe every pool (``idle_count``) at each arrival, so these pin the
     pool's probe refiles, which decide what later draws see."""
-    res = run_federated(_scenario(golden["config"]))
+    with _post_run_garbage() as garbage:
+        res = run_federated(_scenario(golden["config"]))
+    assert garbage == []
     assert res.events == golden["events"]
     assert res.pool_provisioned == golden["pool_provisioned"]
     assert res.pool_spent == golden["pool_spent"]
@@ -108,6 +165,29 @@ def test_run_federated_matches_golden(golden):
             zip(res.dcis, golden["dcis"])] == golden["dcis"]
     assert len(res.tenants) == len(golden["tenants"])
     assert len(res.dcis) == len(golden["dcis"])
+
+
+def test_boinc_delay_bound_timeouts_leave_no_cycles():
+    """Replicas whose ``delay_bound`` timer fired (lost for good, or
+    returning late) and replicas that finished and cancelled theirs
+    are all freed by reference count."""
+    sim = Simulation(horizon=1e6)
+    # node 0 vanishes mid-task for good; node 2 returns long after
+    # delay_bound, and its late result is discarded
+    nodes = [Node(0, 1000.0, np.array([0.0]), np.array([1.0])),
+             Node(1, 1000.0, np.array([0.0]), np.array([1e6])),
+             Node(2, 1000.0, np.array([0.0, 5000.0]), np.array([1.0, 1e6]))]
+    server = BoincServer(sim, NodePool(nodes, rng=np.random.default_rng(0)),
+                         config=BoincConfig(target_nresults=1, min_quorum=1,
+                                            delay_bound=100.0))
+    server.submit_bot(BagOfTasks(
+        bot_id="b", tasks=[Task(i, 2000.0) for i in range(4)]))
+    with _post_run_garbage() as garbage:
+        sim.run()
+    assert garbage == []
+    assert server.stats.timeouts >= 2
+    assert server.stats.discarded_results >= 1
+    assert server.bot_completed("b")
 
 
 def test_edgi_small_run_matches_pre_harness_golden():

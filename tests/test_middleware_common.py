@@ -68,6 +68,62 @@ def test_observer_event_order_and_counts(kind):
         assert seq == ["arrive", "assign", "complete"]
 
 
+def _delivery_log(kind, keyed):
+    """Run three BoTs with every-BoT observers registered before,
+    between and after observers bound to ``alpha`` and ``beta`` (beta's
+    first one after two every-BoT ones; ``gamma`` has none), and log
+    each call that acts.  ``keyed=False`` registers every observer for
+    all BoTs, as before keyed delivery, so the bound ones rely on their
+    own guard."""
+    sim, srv = build(kind, n_nodes=3)
+    log, foreign = [], []
+
+    class Rec:
+        def __init__(self, name, bot_id=None, events=srv.OBSERVER_EVENTS):
+            self.name, self.bot_id = name, bot_id
+            for event in events:
+                setattr(self, event, self._method(event))
+
+        def _method(self, event):
+            def on_event(key, t):
+                bot = key if event == "on_bot_completed" else key[0]
+                if self.bot_id is not None and bot != self.bot_id:
+                    foreign.append((event, key, self.name))
+                    return  # the guard keyed delivery makes dead
+                log.append((event, key, t, self.name))
+            return on_event
+
+    for name, bot_id, events in (
+            ("every-1", None, srv.OBSERVER_EVENTS),
+            ("alpha-1", "alpha", srv.OBSERVER_EVENTS),
+            ("every-2", None, ("on_task_completed", "on_bot_completed")),
+            ("alpha-2", "alpha", ("on_bot_completed",)),
+            ("beta-1", "beta", srv.OBSERVER_EVENTS),
+            ("every-3", None, srv.OBSERVER_EVENTS),
+            ("beta-2", "beta", ("on_task_arrived", "on_task_completed"))):
+        srv.add_observer(Rec(name, bot_id, events),
+                         bot_id=bot_id if keyed else None)
+    for bot_id, nops in (("alpha", 1000.0), ("beta", 3000.0),
+                         ("gamma", 2000.0)):
+        srv.submit_bot(bot_of(3, nops=nops, bot_id=bot_id))
+    sim.run()
+    return log, foreign
+
+
+@pytest.mark.parametrize("kind", MIDDLEWARE_NAMES)
+def test_keyed_delivery_keeps_every_acting_call_in_order(kind):
+    keyed, keyed_foreign = _delivery_log(kind, keyed=True)
+    guarded, guarded_foreign = _delivery_log(kind, keyed=False)
+    for event in ("on_task_arrived", "on_task_first_assigned",
+                  "on_task_completed", "on_bot_completed"):
+        got = [call for call in keyed if call[0] == event]
+        assert got, event
+        assert got == [call for call in guarded if call[0] == event]
+    assert keyed == guarded
+    # only the guard's early returns went away
+    assert keyed_foreign == [] and guarded_foreign
+
+
 @pytest.mark.parametrize("kind", MIDDLEWARE_NAMES)
 def test_duplicate_bot_rejected(kind):
     sim, srv = build(kind)

@@ -79,6 +79,41 @@ def test_stable_node_never_dies():
     assert n.interval_at(1e12) == (5.0, math.inf)
 
 
+@pytest.mark.parametrize("start", [0.0, 5.0, 1e12, -math.inf])
+def test_stable_node_matches_single_interval_node(start):
+    fast = Node.stable(7, 3000.0, start=start, tag="ec2")
+    ref = Node(7, 3000.0, np.array([start]), np.array([math.inf]),
+               cloud=True, tag="ec2")
+    for attr in ("node_id", "power", "cloud", "tag"):
+        assert getattr(fast, attr) == getattr(ref, attr)
+    assert fast.starts.dtype == ref.starts.dtype
+    assert fast.availability_fraction(100.0) == \
+        ref.availability_fraction(100.0)
+    assert fast.availability_fraction(1e13) == \
+        ref.availability_fraction(1e13)
+    for t in (0.0, 4.0, 5.0, 6.0, 1e12, 1e15):
+        assert fast.interval_at(t) == ref.interval_at(t)
+        assert fast.next_available(t) == ref.next_available(t)
+
+
+@pytest.mark.parametrize("power, start", [
+    (0.0, 0.0), (-1.0, 0.0), (1.0, math.inf), (1.0, math.nan)])
+def test_stable_node_rejects_what_the_constructor_rejects(power, start):
+    with pytest.raises(ValueError) as fast:
+        Node.stable(1, power, start=start)
+    with pytest.raises(ValueError) as ref:
+        Node(1, power, np.array([start]), np.array([math.inf]), cloud=True)
+    assert str(fast.value) == str(ref.value)
+
+
+def test_stable_nodes_share_a_read_only_ends_array():
+    a, b = Node.stable(1, 1.0), Node.stable(2, 1.0, start=3.0)
+    assert a.ends is b.ends
+    with pytest.raises(ValueError):
+        a.ends[0] = 0.0
+    assert b.interval_at(4.0) == (3.0, math.inf)
+
+
 def test_empty_schedule_allowed():
     n = make([], [])
     assert n.interval_at(0) is None
