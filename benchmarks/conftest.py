@@ -81,8 +81,7 @@ def pytest_terminal_summary(terminalreporter):
                 f"ticks at {sched['mean_tick_us']:,.0f}us, "
                 f"{sched['charges']:,} charges "
                 f"({sched['charges_per_second']:,.0f}/s), "
-                f"{sched['static_rate_hits']:,} static-rate hits, "
-                f"{sched['scalar_fallbacks']} scalar fallbacks, "
+                f"{sched.get('rate_lookups', 0):,} rate lookups, "
                 f"{sched['profile_share']:.1%} of run wall")
         # dispatch-plane cost of the profiled 10^5-node run (PR 10)
         disp = record.get("dispatch")

@@ -18,6 +18,8 @@ perf record CI uploads as an artifact:
 """
 
 import cProfile
+import contextlib
+import functools
 import gc
 import io
 import json
@@ -26,10 +28,10 @@ import pstats
 import resource
 import time
 
-from repro.core.scheduler import SCHED_TELEMETRY, reset_sched_telemetry
-from repro.economics.billing import BILLING_STATS, reset_billing_stats
-from repro.economics.pricing import RATE_STATS, reset_rate_stats
-from repro.infra.pool import POOL_STATS, reset_pool_stats
+from repro.core.scheduler import SpeQuloSScheduler
+from repro.economics.billing import BillingMeter
+from repro.economics.pricing import PriceBook
+from repro.infra.pool import NodePool
 from repro.experiments import (
     DCISpec,
     ExecutionConfig,
@@ -50,14 +52,14 @@ WARM_SHARDS = 4
 
 #: events/sec of the 10^4-node seti/boinc/SMALL execution recorded at
 #: the PR 6 seed (benchmarks/results/BENCH_engine.json@PR6).  The hard
-#: gate was "no regression versus the recorded seed" through PR 8; the
-#: columnar billing ledger (PR 9) raised it to 1.25x the seed.
+#: gate was "no regression versus the recorded seed" at first; it now
+#: asks for 1.25x the seed.
 PR6_EVENTS_PER_SEC = 36_577.9
 
-#: warm throughput hard gate, as a multiple of the recorded PR 6 seed.
-#: PR 9 vectorized Algorithm 2 (columnar ledger + static-rate fast
-#: path + O(1) counters), so a regression back under 1.25x the seed
-#: means the fast path silently disengaged.
+#: warm throughput hard gate, as a multiple of the recorded seed: a
+#: regression back under 1.25x the seed means the hot path (one
+#: billing pass per tick, static-rate fast path, O(1) occupancy
+#: counters) silently got slower.
 GATE_MULTIPLIER = 1.25
 
 #: warm reference-execution repetitions; the best repetition is the
@@ -110,6 +112,83 @@ def _materialize_fresh(seed: int, columns: bool) -> float:
     wall = time.perf_counter() - t0
     assert len(realization) == SETI_CAP
     return wall
+
+
+class _HotPathCounters:
+    """Call counts (and the tick wall) of the engine's hot entry points.
+
+    :meth:`installed` wraps each entry point on its class for the
+    duration of one run and restores the originals afterwards, so the
+    counts describe exactly that run and nothing in ``src/`` keeps
+    process-wide state for the bench.
+    """
+
+    def __init__(self):
+        self.ticks = 0
+        self.tick_wall = 0.0
+        self.charges = 0
+        self.charge_batches = 0
+        self.rate_lookups = 0
+        self.draws = 0
+        self.ghost_compactions = 0
+
+    def _tick(self, orig):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return orig(*args, **kwargs)
+            finally:
+                self.ticks += 1
+                self.tick_wall += time.perf_counter() - t0
+        return wrapper
+
+    def _charge(self, orig):
+        def wrapper(meter, bot_id, provider, busy_seconds, *args, **kwargs):
+            if busy_seconds > 0:
+                self.charges += 1
+            return orig(meter, bot_id, provider, busy_seconds,
+                        *args, **kwargs)
+        return wrapper
+
+    def _charge_many(self, orig):
+        def wrapper(meter, bot_id, provider, busy_deltas, *args, **kwargs):
+            fail = orig(meter, bot_id, provider, busy_deltas,
+                        *args, **kwargs)
+            # charges priced: the positive deltas up to the shortfall
+            billed = busy_deltas if fail < 0 else busy_deltas[:fail + 1]
+            self.charges += sum(1 for b in billed if b > 0)
+            self.charge_batches += 1
+            return fail
+        return wrapper
+
+    def _counter(self, attr, orig):
+        def wrapper(*args, **kwargs):
+            setattr(self, attr, getattr(self, attr) + 1)
+            return orig(*args, **kwargs)
+        return wrapper
+
+    @contextlib.contextmanager
+    def installed(self):
+        targets = (
+            (SpeQuloSScheduler, "_tick", self._tick),
+            (BillingMeter, "charge", self._charge),
+            (BillingMeter, "charge_many", self._charge_many),
+            (PriceBook, "rate",
+             functools.partial(self._counter, "rate_lookups")),
+            (NodePool, "_draw", functools.partial(self._counter, "draws")),
+            (NodePool, "_compact_ghosts",
+             functools.partial(self._counter, "ghost_compactions")),
+        )
+        originals = []
+        try:
+            for owner, name, make in targets:
+                orig = owner.__dict__[name]
+                originals.append((owner, name, orig))
+                setattr(owner, name, functools.wraps(orig)(make(orig)))
+            yield self
+        finally:
+            for owner, name, orig in originals:
+                setattr(owner, name, orig)
 
 
 def _federated_config(total_nodes: int) -> ScenarioConfig:
@@ -248,16 +327,13 @@ def _scale_sweep_and_profile(scale):
               f"(outer wall {wall:.2f}s, rss {_peak_rss_kb():,} KB)")
 
     # profile the 10^5-node scenario end to end (world assembly + run),
-    # with the scheduler/billing telemetry zeroed so the counters below
-    # describe exactly this run
-    reset_sched_telemetry()
-    reset_billing_stats()
-    reset_rate_stats()
-    reset_pool_stats()
+    # counting its hot entry points for the sections below
+    counts = _HotPathCounters()
     profiler = cProfile.Profile()
-    profiler.enable()
-    res = run_federated(_federated_config(SCALE_NODES[-1]))
-    profiler.disable()
+    with counts.installed():
+        profiler.enable()
+        res = run_federated(_federated_config(SCALE_NODES[-1]))
+        profiler.disable()
     buf = io.StringIO()
     stats = pstats.Stats(profiler, stream=buf)
     stats.sort_stats("cumulative").print_stats(30)
@@ -276,27 +352,23 @@ def _scale_sweep_and_profile(scale):
         if func == "_tick" and fname.replace(os.sep, "/").endswith(
             "core/scheduler.py"))
     sched_share = tick_cum / res.wall_seconds
-    ticks = SCHED_TELEMETRY["ticks"]
-    charges = BILLING_STATS["charges"]
+    ticks = counts.ticks
+    charges = counts.charges
     scheduler_section = {
         "ticks": ticks,
-        "tick_wall_seconds": round(SCHED_TELEMETRY["tick_wall"], 3),
-        "mean_tick_us": round(
-            SCHED_TELEMETRY["tick_wall"] / max(1, ticks) * 1e6, 1),
-        "scalar_fallbacks": SCHED_TELEMETRY["scalar_fallbacks"],
+        "tick_wall_seconds": round(counts.tick_wall, 3),
+        "mean_tick_us": round(counts.tick_wall / max(1, ticks) * 1e6, 1),
         "charges": charges,
-        "charge_batches": BILLING_STATS["batches"],
+        "charge_batches": counts.charge_batches,
         "charges_per_second": round(charges / res.wall_seconds, 1),
-        "static_rate_hits": RATE_STATS["hits"],
-        "rate_resolves": RATE_STATS["resolves"],
+        "rate_lookups": counts.rate_lookups,
         "profile_share": round(sched_share, 4),
     }
     print(f"[scheduler] {ticks:,} ticks, "
           f"{scheduler_section['mean_tick_us']:.0f}us/tick, "
           f"{charges:,} charges "
           f"({scheduler_section['charges_per_second']:,.0f}/s), "
-          f"{RATE_STATS['hits']:,} static-rate cache hits, "
-          f"{SCHED_TELEMETRY['scalar_fallbacks']} scalar fallbacks, "
+          f"{counts.rate_lookups:,} rate lookups, "
           f"{sched_share:.1%} of the profiled run wall")
 
     # dispatch-plane cost: the fraction of the profiled wall (the
@@ -337,14 +409,14 @@ def _scale_sweep_and_profile(scale):
     dispatch_cum = max(0.0, dispatch_cum)
     dispatch_share = dispatch_cum / stats.total_tt
     dispatch_section = {
-        "acquires": POOL_STATS["acquires"],
+        "acquires": counts.draws,
         "dispatches": dispatches,
-        "ghost_compactions": POOL_STATS["ghost_compactions"],
+        "ghost_compactions": counts.ghost_compactions,
         "profile_share": round(dispatch_share, 4),
     }
-    print(f"[dispatch] {POOL_STATS['acquires']:,} acquires in "
+    print(f"[dispatch] {counts.draws:,} acquires in "
           f"{dispatches:,} dispatch passes, "
-          f"{POOL_STATS['ghost_compactions']} ghost compactions, "
+          f"{counts.ghost_compactions} ghost compactions, "
           f"pairing share {dispatch_share:.1%} of the profiled run wall")
 
     _merge_payload({

@@ -24,6 +24,11 @@ makes old entries unreachable — no human has to remember to bump
 anything.  :data:`CODE_VERSION` stays as a manual escape hatch for
 forced invalidation, ``REPRO_CODE_SALT`` overrides the salt ad hoc,
 and :meth:`ResultStore.invalidate` drops entries explicitly.
+
+A store file SQLite cannot read (say, a truncated CI cache entry) is
+renamed ``*.corrupt`` at open and replaced by an empty store
+(:func:`open_sqlite_store`, shared with the history archive), so it
+costs re-simulation, never a crash.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import sqlite3
 import time
 import warnings
 from dataclasses import asdict, dataclass, is_dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,8 +61,8 @@ from repro.experiments.runner import (
 
 __all__ = ["CODE_VERSION", "ResultStore", "StoreStats", "config_digest",
            "current_store", "default_store", "default_store_path",
-           "encode_result", "decode_result", "set_cache_enabled",
-           "set_default_store"]
+           "encode_result", "decode_result", "open_sqlite_store",
+           "set_cache_enabled", "set_default_store"]
 
 #: manual salt component for forced invalidation; day-to-day staleness
 #: protection comes from :func:`code_fingerprint` (see module doc)
@@ -261,6 +266,49 @@ class StoreStats:
         return text
 
 
+def open_sqlite_store(path: str, schema: str,
+                      migrate: Optional[Callable[[sqlite3.Connection],
+                                                 None]] = None
+                      ) -> Tuple[sqlite3.Connection, int]:
+    """Connect to a SQLite store, quarantining a file SQLite cannot read.
+
+    Runs ``schema`` (and ``migrate``, if given) and commits.  A
+    ``sqlite3.DatabaseError`` on the way — a file that is not a
+    database, or one cut short mid-write — closes the connection,
+    renames the file (and any rollback journal beside it) to
+    ``<path>.corrupt``, as the trace store sets aside an unreadable
+    archive, and opens a fresh, empty store in its place.  A locked or
+    unopenable database (``OperationalError``) is not corruption and
+    propagates.
+
+    Returns ``(connection, quarantined)``: ``quarantined`` is 1 when a
+    file was set aside, else 0.
+    """
+    def connect() -> sqlite3.Connection:
+        conn = sqlite3.connect(path)
+        try:
+            conn.executescript(schema)
+            if migrate is not None:
+                migrate(conn)
+            conn.commit()
+        except BaseException:
+            conn.close()
+            raise
+        return conn
+
+    try:
+        return connect(), 0
+    except sqlite3.DatabaseError as exc:
+        if isinstance(exc, sqlite3.OperationalError):
+            raise
+    for suffix in ("", "-journal"):
+        try:
+            os.replace(path + suffix, path + ".corrupt" + suffix)
+        except FileNotFoundError:
+            pass  # no journal, or another process moved the file first
+    return connect(), 1
+
+
 class ResultStore:
     """SQLite-backed content-addressed archive of campaign results."""
 
@@ -284,9 +332,9 @@ class ResultStore:
         if self.path != ":memory:" and parent:
             os.makedirs(parent, exist_ok=True)
         self._salt = _code_salt(salt)
-        self._conn = sqlite3.connect(self.path)
-        self._conn.executescript(self._SCHEMA)
-        self._conn.commit()
+        #: 1 when the file at ``path`` was corrupt and set aside
+        self._conn, self.quarantined = open_sqlite_store(self.path,
+                                                         self._SCHEMA)
         self.stats = StoreStats()
 
     # ------------------------------------------------------------------

@@ -458,6 +458,9 @@ def _cmd_store(args) -> int:
     if args.action == "stats":
         print(f"store: {store.path}")
         print(f"  {len(store)} records, {store.file_bytes()} bytes on disk")
+        if store.quarantined:
+            print(f"  {store.quarantined} corrupt database quarantined "
+                  f"as {store.path}.corrupt")
         for kind, counts in sorted(store.breakdown().items()):
             print(f"  {kind:<14} {counts['current']:6d} current  "
                   f"{counts['stale']:6d} stale")
@@ -497,6 +500,9 @@ def _cmd_history(args) -> int:
         print(f"  {len(store)} current records "
               f"({store.stale_count()} stale), "
               f"{store.file_bytes()} bytes on disk")
+        if store.quarantined:
+            print(f"  {store.quarantined} corrupt database quarantined "
+                  f"as {store.path}.corrupt")
         if len(store):
             print(f"  {'environment':<36} {'recs':>5} {'mk (h)':>8} "
                   f"{'tput/h':>8} {'slowdn':>7} {'avail':>6} "

@@ -34,7 +34,7 @@ class CloudWorkerHandle:
     """Scheduler-side view of one provisioned cloud worker."""
 
     __slots__ = ("instance", "deploy_mode", "agent", "billed_busy",
-                 "stopped", "ever_assigned", "last_busy", "ledger_index")
+                 "stopped", "ever_assigned", "last_busy")
 
     def __init__(self, instance: CloudInstance, deploy_mode: str):
         self.instance = instance
@@ -46,9 +46,6 @@ class CloudWorkerHandle:
         self.ever_assigned = False
         #: last instant the worker was observed computing (idle-release)
         self.last_busy = instance.boot_end
-        #: slot in the owning run's HandleLedger (set on launch);
-        #: billing attrs above are mirrored there — mutate via the ledger
-        self.ledger_index = -1
 
     @property
     def node(self) -> Node:

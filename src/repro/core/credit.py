@@ -226,12 +226,11 @@ class CreditSystem:
         if order.pool is None:
             provisioned = order.provisioned
             # fast path: when the escrow covers the whole batch with
-            # margin (the same conservative bound the Scheduler's
-            # vectorized scan uses), every clamp resolves to
-            # ``billed == amount`` — sequential partial sums of
-            # non-negative floats are monotone, so no prefix can
-            # overshoot what the full sum (plus margin) fits.  The
-            # accumulation below replays the identical float adds.
+            # margin, every clamp resolves to ``billed == amount`` —
+            # sequential partial sums of non-negative floats are
+            # monotone, so no prefix can overshoot what the full sum
+            # (plus margin) fits.  The accumulation below replays the
+            # identical float adds.
             if amounts and min(amounts) >= 0.0:
                 total = 0.0
                 for amount in amounts:

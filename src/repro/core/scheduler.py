@@ -54,10 +54,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.api import ComputeDriver, QuotaExceeded
 from repro.cloud.worker import (
@@ -67,7 +64,6 @@ from repro.cloud.worker import (
 )
 from repro.core.credit import CREDITS_PER_CPU_HOUR, CreditSystem
 from repro.core.info import BoTMonitor, InformationModule
-from repro.core.ledger import HandleLedger
 from repro.economics.billing import BillingMeter
 from repro.economics.pricing import PriceBook
 from repro.core.oracle import Oracle
@@ -82,20 +78,7 @@ from repro.middleware.base import DGServer
 from repro.simulator.engine import PRIORITY_MONITOR, Event, Simulation
 
 __all__ = ["SchedulerConfig", "QoSRun", "SpeQuloSScheduler",
-           "CloudArbiter", "ARBITRATION_POLICIES", "SCHED_TELEMETRY",
-           "reset_sched_telemetry"]
-
-#: per-tick telemetry (process-wide, reset by the engine bench):
-#: ``ticks`` = scheduler ticks run, ``tick_wall`` = wall seconds spent
-#: inside ``_tick``, ``scalar_fallbacks`` = billing scans routed to the
-#: exact per-handle replay because a tick might exhaust the escrow.
-SCHED_TELEMETRY = {"ticks": 0, "tick_wall": 0.0, "scalar_fallbacks": 0}
-
-
-def reset_sched_telemetry() -> None:
-    SCHED_TELEMETRY["ticks"] = 0
-    SCHED_TELEMETRY["tick_wall"] = 0.0
-    SCHED_TELEMETRY["scalar_fallbacks"] = 0
+           "CloudArbiter", "ARBITRATION_POLICIES"]
 
 
 @dataclass(frozen=True)
@@ -144,17 +127,9 @@ class QoSRun:
     stop_reason: Optional[str] = None
     #: absolute completion deadline (deadline-proximity arbitration)
     deadline: Optional[float] = None
-    #: columnar mirror of ``handles`` billing state (shares the list)
-    ledger: HandleLedger = field(default_factory=HandleLedger)
-
-    def __post_init__(self) -> None:
-        # the ledger and the run expose ONE handle list: appends go
-        # through ledger.append, which keeps the columns in sync
-        self.ledger.handles = self.handles
-
-    def active_workers(self) -> int:
-        """Workers not yet stopped — O(1) via the ledger's counter."""
-        return self.ledger.active
+    #: node id -> handle of every worker not yet stopped, in launch
+    #: order (the billing order); written at launch and at stop only
+    live: Dict[int, CloudWorkerHandle] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +344,6 @@ class SpeQuloSScheduler:
     # monitor loop (Algorithms 1 and 2)
     # ------------------------------------------------------------------
     def _tick(self) -> None:
-        t0 = perf_counter()
         self._tick_ev = None
         runs: Sequence[QoSRun] = list(self.runs.values())
         if self.arbiter is not None:
@@ -392,8 +366,6 @@ class SpeQuloSScheduler:
                 self._bill_and_manage(run)
         if active:
             self._ensure_ticking()
-        SCHED_TELEMETRY["ticks"] += 1
-        SCHED_TELEMETRY["tick_wall"] += perf_counter() - t0
 
     # ------------------------------------------------------------------
     def _launch(self, run: QoSRun) -> None:
@@ -439,7 +411,8 @@ class SpeQuloSScheduler:
             else:
                 assert run.coordinator is not None
                 run.coordinator.add_worker(inst.node)
-            run.ledger.append(handle)  # appends to run.handles too
+            run.handles.append(handle)
+            run.live[inst.node.node_id] = handle
             run.workers_launched += 1
             self._active_total += 1
             self._active_by_server[run.server] = \
@@ -448,12 +421,6 @@ class SpeQuloSScheduler:
         run.started_at = self.sim.now
 
     # ------------------------------------------------------------------
-    def _handle_busy(self, run: QoSRun, handle: CloudWorkerHandle) -> bool:
-        if handle.deploy_mode == DEPLOY_CLOUD_DUP:
-            assert run.coordinator is not None
-            return run.coordinator.busy(handle.node)
-        return run.server.is_busy(handle.node)
-
     def _busy_seconds(self, run: QoSRun, handle: CloudWorkerHandle) -> float:
         if handle.deploy_mode == DEPLOY_CLOUD_DUP:
             assert run.coordinator is not None
@@ -472,123 +439,91 @@ class SpeQuloSScheduler:
             return True
         billed, asked = self.meter.charge(run.bot_id, run.driver.name,
                                           delta, self.sim.now)
-        run.ledger.set_billed(handle, total)
+        handle.billed_busy = total
         return billed >= asked - 1e-9
 
-    def _usage_snapshot(self, run: QoSRun, node_ids: List[int]):
-        """Bulk ``(busy_seconds, busy)`` for the run's deployment path
-        (all handles of a run share one deploy mode)."""
+    def _charge_live(self, run: QoSRun) -> Tuple[
+            List[CloudWorkerHandle], List[bool], Optional[CloudWorkerHandle]]:
+        """Bill every live worker's usage since its last charge.
+
+        One usage snapshot gives each worker's busy seconds; the
+        positive deltas are billed in launch order by one
+        :meth:`~repro.economics.billing.BillingMeter.charge_many`, which
+        stops at the first charge the escrow cannot fully cover.  Each
+        worker charged, up to and including that *short* worker, has
+        its ``billed_busy`` advanced to the snapshot total.
+
+        Returns ``(handles, busy, short)``: the live workers in launch
+        order, their busy flags, and the short worker (None when every
+        charge was covered).
+        """
+        now = self.sim.now
+        handles = list(run.live.values())
         if run.combo.deploy == DEPLOY_CLOUD_DUP:
             assert run.coordinator is not None
-            return run.coordinator.usage_of(node_ids, self.sim.now)
-        return run.server.cloud_usage_of(node_ids, self.sim.now)
+            totals, busy = run.coordinator.usage_of(list(run.live), now)
+        else:
+            totals, busy = run.server.cloud_usage_of(list(run.live), now)
+        deltas = [total - handle.billed_busy
+                  for handle, total in zip(handles, totals)]
+        # positions, not (handle, total) pairs: a tick allocates no
+        # container per worker, which keeps the collector quiet
+        charged = [i for i, delta in enumerate(deltas) if delta > 0.0]
+        short = None
+        if charged:
+            fail = self.meter.charge_many(run.bot_id, run.driver.name,
+                                          [deltas[i] for i in charged], now)
+            if fail >= 0:
+                del charged[fail + 1:]
+                short = handles[charged[fail]]
+            for i in charged:
+                handles[i].billed_busy = totals[i]
+        return handles, busy, short
 
     def _bill_and_manage(self, run: QoSRun) -> None:
-        """Algorithm 2, columnar: one vectorized busy-delta pass.
+        """Algorithm 2: bill the live workers, release idle ones, and
+        stop everything once the escrow runs dry.
 
-        Equivalence to the per-handle reference
-        (:meth:`_bill_and_manage_scalar`, pinned by
-        ``tests/test_ledger_billing.py``):
+        Billing every worker first (:meth:`_charge_live`) and managing
+        after gives exactly the results of the per-handle loop, which
+        billed a worker and then decided on it, worker by worker:
 
-        * the usage snapshot may be taken upfront because stopping a
-          handle never changes another handle's busy accounting within
-          the tick;
-        * charging all positive deltas first (ascending handle order,
-          via :meth:`~repro.economics.billing.BillingMeter.charge_many`)
-          is the reference ``credits.bill`` sequence exactly, because a
-          grace-stop's settlement re-bill always sees ``delta == 0``
-          (the tick's charge already advanced ``billed_busy`` to the
-          snapshot total) — the only reordering risk is the exhaustion
-          teardown, whose interleaving *does* matter;
-        * therefore a tick that could exhaust the escrow (conservative
-          pre-charge bound below) is routed to the scalar replay
-          instead, keeping that path byte-identical too.
+        * a tick's only credit effects are its charges, so the charge
+          sequence is the same;
+        * stopping a worker never changes another worker's busy
+          accounting, so one snapshot serves the whole tick;
+        * a release's settlement in :meth:`_stop_handle` sees a zero
+          delta, because the tick's charge already advanced
+          ``billed_busy``.
+
+        Workers launched after the short worker are neither charged
+        nor managed here: :meth:`stop_all` settles and stops them in
+        launch order, as the per-handle loop did once a charge fell
+        short.
         """
-        ledger = run.ledger
-        live = ledger.live_indices()
-        if live.size == 0:
+        if not run.live:
             return
+        handles, busy, short = self._charge_live(run)
         now = self.sim.now
-        totals, busy = self._usage_snapshot(run, ledger.live_node_ids())
-        totals = np.asarray(totals, dtype=np.float64)
-        deltas = totals - ledger.billed_busy[live]
-        charge_mask = deltas > 0.0
-        pos = deltas[charge_mask]
-        if pos.size:
-            rate = self.meter.rate_for(run.driver.name, now)
-            asked_bound = float(pos.sum()) * rate / 3600.0
-            if (self.meter.remaining_for(run.bot_id)
-                    < asked_bound * (1.0 + 1e-9) + 1e-9):
-                # the escrow might clamp a charge — replay the exact
-                # historical loop (settlement interleaving matters here)
-                SCHED_TELEMETRY["scalar_fallbacks"] += 1
-                self._bill_and_manage_scalar(run)
-                return
-            fail = self.meter.charge_many(run.bot_id, run.driver.name,
-                                          pos.tolist(), now)
-            if pos.size == live.size:   # steady state: all charged
-                idx, charged_totals = live, totals
-            else:
-                idx = live[charge_mask]
-                charged_totals = totals[charge_mask]
-            if fail >= 0:  # pragma: no cover - excluded by the bound
-                ledger.set_billed_bulk(idx[:fail + 1],
-                                       charged_totals[:fail + 1])
-                self.stop_all(run, reason="credits exhausted")
-                return
-            ledger.set_billed_bulk(idx, charged_totals)
-        if False not in busy:           # steady state: nobody idle
-            ledger.touch_busy_bulk(live, now)
-            return
-        busy_arr = np.asarray(busy, dtype=bool)
-        busy_idx = live[busy_arr]
-        if busy_idx.size:
-            ledger.touch_busy_bulk(busy_idx, now)
-        idle_idx = live[~busy_arr]
-        if idle_idx.size == 0:  # pragma: no cover - caught above
-            return
         greedy = run.combo.size == SIZE_GREEDY
         idle_grace = self.config.idle_grace
-        if greedy:
-            grace = np.where(~ledger.ever_assigned[idle_idx],
-                             self.config.greedy_release_grace,
-                             np.inf if idle_grace is None else idle_grace)
-        elif idle_grace is not None:
-            grace = idle_grace
-        else:
-            return
-        stop_mask = (now - ledger.last_busy[idle_idx]) >= grace
-        if stop_mask.any():
-            handles = ledger.handles
-            for i in idle_idx[stop_mask].tolist():
-                self._stop_handle(run, handles[i])
-
-    def _bill_and_manage_scalar(self, run: QoSRun) -> None:
-        """Algorithm 2, per-handle reference: bill, release idle
-        workers, stop on exhaustion — the historical loop, kept both as
-        the possibly-exhausting-tick path (where the order of tick
-        charges vs teardown settlements is observable in the credit
-        ledger) and as the oracle the property tests replay."""
-        now = self.sim.now
-        greedy = run.combo.size == SIZE_GREEDY
-        ledger = run.ledger
-        for handle in run.handles:
-            if handle.stopped:
-                continue
-            if not self._bill_handle(run, handle):
-                self.stop_all(run, reason="credits exhausted")
-                return
-            if self._handle_busy(run, handle):
-                ledger.touch_busy(handle, now)
+        for handle, is_busy in zip(handles, busy):
+            if handle is short:
+                break
+            if is_busy:
+                handle.ever_assigned = True
+                handle.last_busy = now
                 continue
             if greedy and not handle.ever_assigned:
                 grace = self.config.greedy_release_grace
-            elif self.config.idle_grace is not None:
-                grace = self.config.idle_grace
+            elif idle_grace is not None:
+                grace = idle_grace
             else:
                 continue
             if now - handle.last_busy >= grace:
                 self._stop_handle(run, handle)
+        if short is not None:
+            self.stop_all(run, reason="credits exhausted")
 
     # ------------------------------------------------------------------
     # stopping
@@ -597,10 +532,11 @@ class SpeQuloSScheduler:
         if handle.stopped:
             return
         self._bill_handle(run, handle)
-        run.ledger.mark_stopped(handle)
+        handle.stopped = True
+        node = handle.node
+        del run.live[node.node_id]
         self._active_total -= 1
         self._active_by_server[run.server] -= 1
-        node = handle.node
         if handle.deploy_mode == DEPLOY_FLAT:
             run.server.remove_cloud_node(node)
         elif handle.deploy_mode == DEPLOY_RESCHEDULE:
@@ -612,58 +548,25 @@ class SpeQuloSScheduler:
         run.driver.destroy_node(handle.instance)
 
     def _stop_by_node(self, run: QoSRun, node) -> None:
-        handle = run.ledger.get_by_node(node.node_id)
+        handle = run.live.get(node.node_id)
         if handle is not None:
             self._stop_handle(run, handle)
 
-    def _settle_bulk(self, run: QoSRun) -> None:
-        """Pre-bill every live handle in one batch before a teardown.
-
-        Same equivalence argument as :meth:`_bill_and_manage`: stopping
-        a handle never changes another handle's busy accounting, so
-        charging all positive deltas upfront (ascending handle order)
-        produces the reference ``credits.bill`` sequence, and each
-        subsequent per-handle settlement in :meth:`_stop_handle` sees
-        ``delta == 0``.  When the escrow might clamp a charge this does
-        nothing — the per-handle settlements then clamp in the exact
-        historical interleaving.
-        """
-        ledger = run.ledger
-        live = ledger.live_indices()
-        if live.size == 0:
-            return
-        now = self.sim.now
-        totals, _busy = self._usage_snapshot(run, ledger.live_node_ids())
-        totals = np.asarray(totals, dtype=np.float64)
-        deltas = totals - ledger.billed_busy[live]
-        charge_mask = deltas > 0.0
-        pos = deltas[charge_mask]
-        if pos.size == 0:
-            return
-        rate = self.meter.rate_for(run.driver.name, now)
-        asked_bound = float(pos.sum()) * rate / 3600.0
-        if (self.meter.remaining_for(run.bot_id)
-                < asked_bound * (1.0 + 1e-9) + 1e-9):
-            return
-        fail = self.meter.charge_many(run.bot_id, run.driver.name,
-                                      pos.tolist(), now)
-        if pos.size == live.size:
-            idx, charged_totals = live, totals
-        else:
-            idx = live[charge_mask]
-            charged_totals = totals[charge_mask]
-        if fail >= 0:  # pragma: no cover - excluded by the bound
-            ledger.set_billed_bulk(idx[:fail + 1],
-                                   charged_totals[:fail + 1])
-            return
-        ledger.set_billed_bulk(idx, charged_totals)
-
     def stop_all(self, run: QoSRun, reason: str) -> None:
-        """Stop every Cloud worker of the run (exhaustion/completion)."""
+        """Stop every Cloud worker of the run (exhaustion/completion).
+
+        One :meth:`_charge_live` pass settles the live workers, then
+        each stops in launch order.  Charges stop at the first
+        shortfall, so each later worker's settlement in
+        :meth:`_stop_handle` bills it (nothing, once the escrow is dry)
+        in the same order the per-handle settlements would.
+        """
         if run.stop_reason is None:
             run.stop_reason = reason
-        self._settle_bulk(run)
-        for handle in run.handles:
+        if not run.live:
+            return
+        handles, _busy, _short = self._charge_live(run)
+        for handle in handles:
             self._stop_handle(run, handle)
 
     def finalize(self, run: QoSRun) -> None:

@@ -9,8 +9,9 @@ optionally time-varying), bills the
 :class:`~repro.core.credit.CreditSystem`, and keeps the per-provider
 ledger every consumer shares —
 
-* the Scheduler's Algorithm 2 billing loop charges usage through
-  :meth:`charge`;
+* the Scheduler's Algorithm 2 billing pass charges each tick's usage
+  through :meth:`charge_many`, and a single worker's stop-time
+  settlement through :meth:`charge`;
 * launch sizing and the :class:`~repro.core.scheduler.CloudArbiter`'s
   ``credit_budget`` read spendable credits through
   :meth:`remaining_for` (pool-aware, delegated to the credit system);
@@ -29,17 +30,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.economics.pricing import ONDEMAND, PriceBook
 
-__all__ = ["BillingMeter", "BILLING_STATS", "reset_billing_stats"]
-
-#: charge telemetry (process-wide): ``charges`` = individual usage
-#: charges priced (scalar or batched), ``batches`` = charge_many calls.
-#: The engine bench reports charges/sec from these.
-BILLING_STATS = {"charges": 0, "batches": 0}
-
-
-def reset_billing_stats() -> None:
-    BILLING_STATS["charges"] = 0
-    BILLING_STATS["batches"] = 0
+__all__ = ["BillingMeter"]
 
 
 class BillingMeter:
@@ -90,7 +81,6 @@ class BillingMeter:
                 self.spent_by_provider.get(provider, 0.0) + billed
         self.cpu_seconds_by_provider[provider] = \
             self.cpu_seconds_by_provider.get(provider, 0.0) + busy_seconds
-        BILLING_STATS["charges"] += 1
         return billed, asked
 
     def charge_many(self, bot_id: str, provider: str,
@@ -115,11 +105,11 @@ class BillingMeter:
         stopped billing once the run was being torn down.
         """
         rate = self.rate_for(provider, now, tier)
-        BILLING_STATS["batches"] += 1
         if not busy_deltas:
             return -1
         if min(busy_deltas) > 0:
-            # all-positive batch (the vectorized scan pre-filters):
+            # all-positive batch (the scheduler's charge pass
+            # pre-filters):
             # delta indices map 1:1 onto bill indices
             billed_seq, fail = self.credits.bill_many(
                 bot_id, [rate * b / 3600.0 for b in busy_deltas],
@@ -146,7 +136,6 @@ class BillingMeter:
         if spent:
             self.spent_by_provider[provider] = spent
         self.cpu_seconds_by_provider[provider] = cpu
-        BILLING_STATS["charges"] += len(billed_seq)
         return fail
 
     # ------------------------------------------------------- credit view

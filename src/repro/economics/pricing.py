@@ -29,19 +29,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Uni
 from repro.core.credit import CREDITS_PER_CPU_HOUR
 
 __all__ = ["ONDEMAND", "SPOT", "PRICE_TIERS", "ProviderPricing",
-           "PriceBook", "parse_pricing", "spot_rate", "RATE_STATS",
-           "reset_rate_stats"]
-
-#: static-rate fast-path telemetry (process-wide, like the harness's
-#: trace-cache counters): ``hits`` = rate reads served from a static
-#: book's cache, ``resolves`` = full ``pricing_for(...).rate(...)``
-#: resolutions.  Reported in the engine bench's scheduler subsection.
-RATE_STATS = {"hits": 0, "resolves": 0}
-
-
-def reset_rate_stats() -> None:
-    RATE_STATS["hits"] = 0
-    RATE_STATS["resolves"] = 0
+           "PriceBook", "parse_pricing", "spot_rate"]
 
 #: price tiers a provider may quote
 ONDEMAND = "ondemand"
@@ -181,10 +169,8 @@ class PriceBook:
         key = (provider, tier)
         cached = self._rate_cache.get(key)
         if cached is not None:
-            RATE_STATS["hits"] += 1
             return cached
         value = self.pricing_for(provider).rate(now, tier)
-        RATE_STATS["resolves"] += 1
         if self.is_static():
             self._rate_cache[key] = value
         return value

@@ -21,6 +21,9 @@ archive in SQLite next to the campaign result store
   prune` enforces per-environment record caps (keep the newest N) and
   age-out (drop records older than D days); surfaced as ``repro
   history gc --max-per-env N --max-age-days D``.
+* **corrupt-file quarantine** — an archive SQLite cannot read is
+  renamed ``*.corrupt`` at open and replaced by an empty one (the
+  campaign store's :func:`~repro.campaign.store.open_sqlite_store`).
 
 Imports of the campaign store happen at call time: the campaign
 package sits *above* the core/history layers in the import graph, so
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import sqlite3
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -94,10 +96,10 @@ class PersistentHistoryStore:
         if self.path != ":memory:" and parent:
             os.makedirs(parent, exist_ok=True)
         self._salt = salt or _current_salt()
-        self._conn = sqlite3.connect(self.path)
-        self._conn.executescript(self._SCHEMA)
-        migrate_provider_column(self._conn)
-        self._conn.commit()
+        from repro.campaign.store import open_sqlite_store
+        #: 1 when the file at ``path`` was corrupt and set aside
+        self._conn, self.quarantined = open_sqlite_store(
+            self.path, self._SCHEMA, migrate_provider_column)
 
     # -------------------------------------------------- HistoryStore API
     def add(self, rec: ExecutionRecord) -> None:

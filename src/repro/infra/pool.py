@@ -107,21 +107,10 @@ import numpy as np
 from repro.infra.columns import ColumnNode, NodeColumns
 from repro.infra.node import Node
 
-__all__ = ["NodePool", "POOL_STATS", "reset_pool_stats"]
+__all__ = ["NodePool"]
 
 #: a pool entry: a columnar node id, or a dynamically added Node
 _Entry = Union[int, Node]
-
-#: dispatch-plane telemetry (reset per profiled run by the benches):
-#: individual weighted draws served and ghost compaction passes over
-#: the draw lists
-POOL_STATS = {"acquires": 0, "ghost_compactions": 0}
-
-
-def reset_pool_stats() -> None:
-    for key in POOL_STATS:
-        POOL_STATS[key] = 0
-
 
 _EMPTY_F = np.empty(0, dtype=np.float64)
 _EMPTY_I = np.empty(0, dtype=np.int64)
@@ -506,7 +495,6 @@ class NodePool:
         keeping only the first copy restores list length == index
         size and stops the compaction trigger from re-firing).  A list
         of plain ids is filtered in one NumPy pass."""
-        POOL_STATS["ghost_compactions"] += 1
         index = self._ready_end_of
         for attr in ("_ready_reg", "_ready_cloud"):
             lst = getattr(self, attr)
@@ -547,7 +535,6 @@ class NodePool:
         draw performs always file intervals starting after ``t``, so
         they never grow the lists mid-draw either.
         """
-        POOL_STATS["acquires"] += 1
         rng = self._rng
         index = self._ready_end_of
         reg = self._ready_reg

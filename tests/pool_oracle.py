@@ -22,7 +22,7 @@ import heapq
 
 import numpy as np
 
-from repro.infra.pool import POOL_STATS, NodePool
+from repro.infra.pool import NodePool
 
 
 class ScalarProbePool(NodePool):
@@ -226,7 +226,6 @@ class ScalarProbePool(NodePool):
         an id can hold several list slots while the index holds one —
         keeping only the first copy restores list length == index
         size and stops the compaction trigger from re-firing)."""
-        POOL_STATS["ghost_compactions"] += 1
         index = self._ready_end_of
         for attr in ("_ready_reg", "_ready_cloud"):
             lst = getattr(self, attr)

@@ -311,15 +311,21 @@ def _many_interval_nodes(n=4, periods=40):
             for i in range(n)]
 
 
-def test_sweep_refile_ghosts_are_compacted_away():
+def test_sweep_refile_ghosts_are_compacted_away(monkeypatch):
     """Regression: a sweep-refiled node appends a fresh draw-list copy
     without removing the old one, so every copy's id stays in the ready
     index and the historical ``in index`` compaction filter removed
     nothing — the ghost tail grew by n per sweep and the O(n) scan
     re-triggered forever.  Deduplicating (first copy per indexed id
     wins) must bring the tail to zero."""
-    from repro.infra.pool import POOL_STATS, reset_pool_stats
-    reset_pool_stats()
+    compactions = []
+    compact = NodePool._compact_ghosts
+
+    def spy(self):
+        compactions.append(self)
+        compact(self)
+
+    monkeypatch.setattr(NodePool, "_compact_ghosts", spy)
     pool = NodePool(_many_interval_nodes(n=4, periods=40), rng=rng())
     for step in range(30):
         t = step + 0.75  # every interval filed before has expired
@@ -329,7 +335,7 @@ def test_sweep_refile_ghosts_are_compacted_away():
         # the tail may grow between compactions, but never past the
         # trigger threshold plus one sweep's worth of refiles
         assert ghosts <= max(8, len(pool._ready_end_of)) + 4
-    assert POOL_STATS["ghost_compactions"] > 0
+    assert compactions
     # after the final compaction cycle each indexed id appears at most
     # once per draw list
     ids = [e if type(e) is int else e.node_id for e in pool._ready_reg]
