@@ -12,8 +12,10 @@ the average desktop node (Table 2).
 from __future__ import annotations
 
 import itertools
+import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -69,17 +71,11 @@ class CloudInstance:
     node: Node
     created_at: float
     boot_end: float
-    destroyed_at: Optional[float] = None
+    #: the creating driver's history row (``created``/``destroyed``)
+    row: int
+    #: the creating driver's identity token (``destroy_node`` checks it)
+    owner: object
     meta: Dict[str, str] = field(default_factory=dict)
-
-    @property
-    def alive(self) -> bool:
-        return self.destroyed_at is None
-
-    def cpu_seconds(self, now: float) -> float:
-        """Billable lifetime so far (creation to destruction/now)."""
-        end = self.destroyed_at if self.destroyed_at is not None else now
-        return max(0.0, end - self.created_at)
 
 
 class ComputeDriver:
@@ -96,11 +92,18 @@ class ComputeDriver:
         self.profile = profile
         self.sim = sim
         self.rng = rng or np.random.default_rng(0)
+        #: alive instances only: :meth:`destroy_node` drops them
         self.instances: Dict[int, CloudInstance] = {}
-        #: maintained count of alive instances (``destroyed_at`` is
-        #: only ever set by :meth:`destroy_node`, so the counter cannot
-        #: drift from the ``alive`` scan it replaces)
+        #: the driver's whole history, one row per instance ever
+        #: created, in creation order: its creation and destruction
+        #: instants (``inf`` while alive) — all a destroyed instance
+        #: leaves behind
+        self.created = array("d")
+        self.destroyed = array("d")
+        #: maintained count of alive instances
         self._running = 0
+        #: identity token each instance carries (ownership check)
+        self._owner = object()
 
     # ------------------------------------------------------------------
     @property
@@ -138,59 +141,64 @@ class ComputeDriver:
                            tag=tag or self.name)
         inst = CloudInstance(instance_id=node.node_id, provider=self.name,
                              node=node, created_at=now, boot_end=boot_end,
+                             row=len(self.created), owner=self._owner,
                              meta=dict(meta))
+        self.created.append(now)
+        self.destroyed.append(math.inf)
         self.instances[inst.instance_id] = inst
         self._running += 1
         return inst
 
     def destroy_node(self, inst: CloudInstance) -> None:
         """Terminate an instance (idempotent)."""
-        if inst.instance_id not in self.instances:
+        if inst.owner is not self._owner:
             raise CloudError(f"unknown instance {inst.instance_id}")
-        if inst.destroyed_at is None:
-            inst.destroyed_at = self.sim.now
+        if self.instances.pop(inst.instance_id, None) is not None:
+            self.destroyed[inst.row] = self.sim.now
             self._running -= 1
 
-    def list_nodes(self, alive_only: bool = True) -> List[CloudInstance]:
-        out = list(self.instances.values())
-        if alive_only:
-            out = [i for i in out if i.alive]
-        return out
+    def list_nodes(self) -> List[CloudInstance]:
+        """The alive instances, in creation order."""
+        return list(self.instances.values())
 
     def total_cpu_hours(self) -> float:
-        """Billable CPU·hours across all instances ever started."""
+        """Billable CPU·hours across all instances ever started.
+
+        Each row's lifetime (creation to destruction, or to now while
+        alive), summed in creation order with the built-in ``sum``.
+        """
         now = self.sim.now
-        return sum(i.cpu_seconds(now) for i in self.instances.values()) / 3600.0
+        return sum(max(0.0, min(end, now) - start) for start, end
+                   in zip(self.created, self.destroyed)) / 3600.0
 
     def peak_concurrency(self) -> int:
         """Max simultaneously alive instances over the driver's history.
 
         The number arbitration worker budgets are checked against; a
         federation computes its *global* peak by passing every
-        driver's instances to :func:`peak_concurrency` in one call
-        (per-driver peaks happen at different times, so summing them
-        would over-count).
+        driver's concatenated history to :func:`peak_concurrency` in
+        one call (per-driver peaks happen at different times, so
+        summing them would over-count).
         """
-        return peak_concurrency(self.instances.values())
+        return peak_concurrency(self.created, self.destroyed)
 
 
-def peak_concurrency(instances: "Iterable[CloudInstance]") -> int:
-    """Peak simultaneously alive instances over any instance set.
+def peak_concurrency(created: Sequence[float],
+                     destroyed: Sequence[float]) -> int:
+    """Peak simultaneously alive instances over a creation history.
 
-    Sweeps the create/destroy deltas in time order, a destroy before
-    a create at the same instant; still-alive instances count to the
-    end of the history.
+    ``created[i]`` and ``destroyed[i]`` are instance ``i``'s creation
+    and destruction instants, ``inf`` while it is alive.  Sweeps the
+    create/destroy deltas in time order, a destroy before a create at
+    the same instant; still-alive instances count to the end of the
+    history.
     """
-    created: List[float] = []
-    destroyed: List[float] = []
-    for inst in instances:
-        created.append(inst.created_at)
-        if inst.destroyed_at is not None:
-            destroyed.append(inst.destroyed_at)
-    if not created:
+    created = np.asarray(created, dtype=np.float64)
+    if not created.size:
         return 0
-    times = np.array(created + destroyed)
+    destroyed = np.asarray(destroyed, dtype=np.float64)
+    times = np.concatenate((created, destroyed[destroyed != math.inf]))
     deltas = np.ones(times.size, dtype=np.int64)
-    deltas[len(created):] = -1
+    deltas[created.size:] = -1
     running = np.cumsum(deltas[np.lexsort((deltas, times))])
     return max(0, int(running.max()))

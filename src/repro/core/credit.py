@@ -114,7 +114,11 @@ class CreditSystem:
         self._accounts: Dict[str, float] = {}
         self._orders: Dict[str, CreditOrder] = {}
         self._pools: Dict[str, CreditPool] = {}
-        #: audit log of (op, user/bot, amount) tuples
+        #: audit log of the account, escrow and pool transitions as
+        #: (op, user/bot/pool, amount) tuples — deposit, order, close,
+        #: open/fund/join/close_pool: O(BoTs), never one per bill.
+        #: Spend lives where its readers look: ``CreditOrder.spent``,
+        #: ``CreditPool.spent`` and the billing meter's per-provider sums
         self.ledger: List[Tuple[str, str, float]] = []
 
     # ---------------------------------------------------------- accounts
@@ -188,8 +192,6 @@ class CreditSystem:
         order.spent += billed
         if order.pool is not None:
             self._pools[order.pool].spent += billed
-        if billed:
-            self.ledger.append(("bill", bot_id, billed))
         return billed
 
     def bill_many(self, bot_id: str, amounts: List[float],
@@ -198,9 +200,9 @@ class CreditSystem:
 
         Float-identical to calling :meth:`bill` once per amount in
         order — the order/pool lookups and the remaining-escrow
-        arithmetic are hoisted out of the loop, but every clamp,
-        accumulation and ledger append happens in the same sequence
-        the repeated scalar calls would produce.  Billing stops after
+        arithmetic are hoisted out of the loop, but every clamp and
+        accumulation happens in the same sequence the repeated scalar
+        calls would produce.  Billing stops after
         the first shortfall (``billed < amount - shortfall_tol``),
         which is exactly where the Scheduler stops billing a run it is
         about to tear down.
@@ -220,7 +222,6 @@ class CreditSystem:
                 if 0.0 < amount - shortfall_tol:
                     return out, len(out) - 1
             return out, -1
-        append = self.ledger.append
         spent = order.spent
         fail = -1
         if order.pool is None:
@@ -240,9 +241,6 @@ class CreditSystem:
                     for amount in amounts:
                         spent += amount
                     order.spent = spent
-                    self.ledger.extend(
-                        [("bill", bot_id, amount)
-                         for amount in amounts if amount])
                     return list(amounts), -1
             for amount in amounts:
                 if amount < 0:
@@ -252,8 +250,6 @@ class CreditSystem:
                     remaining = 0.0
                 billed = min(amount, remaining)
                 spent += billed
-                if billed:
-                    append(("bill", bot_id, billed))
                 out.append(billed)
                 if billed < amount - shortfall_tol:
                     fail = len(out) - 1
@@ -287,9 +283,6 @@ class CreditSystem:
                     pool_spent += amount
                 order.spent = spent
                 pool.spent = pool_spent
-                self.ledger.extend(
-                    [("bill", bot_id, amount)
-                     for amount in amounts if amount])
                 return list(amounts), -1
         for amount in amounts:
             if amount < 0:
@@ -309,8 +302,6 @@ class CreditSystem:
             billed = min(amount, remaining)
             spent += billed
             pool_spent += billed
-            if billed:
-                append(("bill", bot_id, billed))
             out.append(billed)
             if billed < amount - shortfall_tol:
                 fail = len(out) - 1

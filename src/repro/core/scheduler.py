@@ -122,7 +122,6 @@ class QoSRun:
     finished: bool = False
     started_at: Optional[float] = None
     workers_launched: int = 0
-    handles: List[CloudWorkerHandle] = field(default_factory=list)
     coordinator: Optional[CloudDuplicationCoordinator] = None
     stop_reason: Optional[str] = None
     #: absolute completion deadline (deadline-proximity arbitration)
@@ -411,7 +410,6 @@ class SpeQuloSScheduler:
             else:
                 assert run.coordinator is not None
                 run.coordinator.add_worker(inst.node)
-            run.handles.append(handle)
             run.live[inst.node.node_id] = handle
             run.workers_launched += 1
             self._active_total += 1
@@ -542,6 +540,9 @@ class SpeQuloSScheduler:
         elif handle.deploy_mode == DEPLOY_RESCHEDULE:
             assert isinstance(handle.agent, RescheduleAgent)
             handle.agent.stop()
+            # the agent's on_starved closure holds the handle: releasing
+            # it breaks that cycle, so a stopped worker is freed at once
+            handle.agent = None
         else:
             assert run.coordinator is not None
             run.coordinator.remove_worker(node)

@@ -91,8 +91,8 @@ class BillingMeter:
         Byte-identical to calling :meth:`charge` once per delta in
         order: within a tick ``now`` is fixed, so the rate is resolved
         once and every ``asked`` is the same float the scalar calls
-        would price; the escrow clamping and ledger appends run per
-        delta inside :meth:`CreditSystem.bill_many
+        would price; the escrow clamping runs per delta inside
+        :meth:`CreditSystem.bill_many
         <repro.core.credit.CreditSystem.bill_many>` (float-identical
         to the repeated ``bill`` calls), and the per-provider totals
         accumulate in the same addition order as the repeated dict

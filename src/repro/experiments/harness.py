@@ -53,7 +53,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cloud.api import ComputeDriver
+from repro.cloud.api import ComputeDriver, peak_concurrency
 from repro.cloud.registry import get_driver
 from repro.core.admission import DEFERRED, GRANTED
 from repro.core.info import InformationModule
@@ -531,14 +531,16 @@ class ScenarioHarness:
     def workers_peak(self) -> int:
         """Exact peak of concurrently alive cloud workers, all clouds.
 
-        One delta-sweep over every driver's instance history — the
+        One delta-sweep over every driver's concatenated history — the
         number a federation's *global* worker budget is checked
         against (summing per-driver peaks would over-count, since each
         cloud peaks at a different time).
         """
-        from repro.cloud.api import peak_concurrency
-        return peak_concurrency(inst for dci in self.dcis.values()
-                                for inst in dci.driver.instances.values())
+        drivers = [dci.driver for dci in self.dcis.values()]
+        if not drivers:
+            return 0
+        return peak_concurrency(np.concatenate([d.created for d in drivers]),
+                                np.concatenate([d.destroyed for d in drivers]))
 
     def runs_for_server(self, server: DGServer) -> List:
         """QoS runs bound to one DCI's server (accounting helper)."""

@@ -40,6 +40,11 @@ import numpy as np
 
 __all__ = ["NodeColumns", "ColumnNode"]
 
+#: how many of a node's remaining intervals one
+#: :meth:`NodeColumns.next_available_many` pass looks at (a node whose
+#: look-ahead all ended finishes with :meth:`NodeColumns.advance`)
+_LOOKAHEAD = 8
+
 
 class NodeColumns:
     """One trace realization as struct-of-arrays (see module docstring)."""
@@ -143,18 +148,25 @@ class NodeColumns:
         exactly where :meth:`advance` would.  A node's ends strictly
         increase, so the intervals :meth:`advance` steps over are
         exactly those of its remaining intervals that ended by ``t``:
-        one pass over all the nodes' remaining intervals counts them.
+        one pass over the next :data:`_LOOKAHEAD` remaining intervals
+        of every node counts them, and the rare node whose whole
+        look-ahead ended, with intervals left beyond it, finishes with
+        :meth:`advance`.  The pass allocates in proportion to
+        ``len(ids)``, however many intervals the horizon holds.
         """
         ends = self.ends
         lo = self.cursor[ids]
         hi = self.offsets[ids + 1]
-        n = hi - lo  # remaining intervals per node, laid end to end
+        n = np.minimum(hi - lo, _LOOKAHEAD)  # look-ahead, laid end to end
         stop = np.cumsum(n)
         first = stop - n
         flat = np.arange(n.sum()) + np.repeat(lo - first, n)
         ended = np.concatenate(([0], np.cumsum(ends[flat] <= t)))
-        lo += ended[stop] - ended[first]
+        moved = ended[stop] - ended[first]
+        lo += moved
         self.cursor[ids] = lo
+        for k in np.flatnonzero((moved == n) & (lo < hi)).tolist():
+            lo[k] = self.advance(int(ids[k]), t)
         found = lo < hi
         return (np.where(found, self.starts.take(lo, mode="clip"), np.nan),
                 np.where(found, ends.take(lo, mode="clip"), np.nan))

@@ -1,6 +1,8 @@
 """Cloud substrate: drivers, instances, worker agents, coordinators."""
 
 
+import math
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,14 +33,14 @@ def bot_of(n, nops=1000.0, bot_id="b"):
 
 
 # ------------------------------------------------------------ peak sweep
-def _tuple_sweep(instances):
+def _tuple_sweep(created, destroyed):
     """The historical peak sweep over sorted ``(t, delta)`` tuples,
-    kept as :func:`peak_concurrency`'s reference."""
+    kept as :func:`peak_concurrency`'s reference (``inf``: alive)."""
     deltas = []
-    for inst in instances:
-        deltas.append((inst.created_at, 1))
-        if inst.destroyed_at is not None:
-            deltas.append((inst.destroyed_at, -1))
+    for c, d in zip(created, destroyed):
+        deltas.append((c, 1))
+        if d != math.inf:
+            deltas.append((d, -1))
     peak = cur = 0
     for _t, delta in sorted(deltas):
         cur += delta
@@ -47,33 +49,69 @@ def _tuple_sweep(instances):
 
 
 # few distinct instants, so equal-time creates and destroys are common
-_instances = st.lists(st.tuples(
+_histories = st.lists(st.tuples(
     st.integers(0, 6).map(lambda k: k * 0.5),
     st.one_of(st.none(), st.integers(0, 4).map(lambda k: k * 0.5))),
-    max_size=40).map(lambda rows: [
-        SimpleNamespace(created_at=c,
-                        destroyed_at=None if d is None else c + d)
-        for c, d in rows])
+    max_size=40).map(lambda rows: (
+        [c for c, _d in rows],
+        [math.inf if d is None else c + d for c, d in rows]))
 
 
-@given(_instances)
+@given(_histories)
 @settings(max_examples=300, deadline=None)
-def test_peak_concurrency_matches_tuple_sweep(instances):
-    assert peak_concurrency(instances) == _tuple_sweep(instances)
-    assert peak_concurrency(iter(instances)) == _tuple_sweep(instances)
+def test_peak_concurrency_matches_tuple_sweep(history):
+    created, destroyed = history
+    expected = _tuple_sweep(created, destroyed)
+    assert peak_concurrency(created, destroyed) == expected
+    assert peak_concurrency(array("d", created),
+                            array("d", destroyed)) == expected
 
 
 def test_peak_concurrency_edges():
-    inst = SimpleNamespace
-    assert peak_concurrency([]) == 0
+    inf = math.inf
+    assert peak_concurrency([], []) == 0
     # a destroy and a create at one instant: the destroy goes first
-    assert peak_concurrency([inst(created_at=0.0, destroyed_at=5.0),
-                             inst(created_at=5.0, destroyed_at=None)]) == 1
+    assert peak_concurrency([0.0, 5.0], [5.0, inf]) == 1
     # never-destroyed instances count to the end of the history
-    assert peak_concurrency([inst(created_at=t, destroyed_at=None)
-                             for t in (3.0, 1.0, 2.0)]) == 3
-    assert isinstance(peak_concurrency([inst(created_at=0.0,
-                                             destroyed_at=0.0)]), int)
+    assert peak_concurrency([3.0, 1.0, 2.0], [inf, inf, inf]) == 3
+    assert isinstance(peak_concurrency([0.0], [0.0]), int)
+
+
+#: driver steps: create, destroy the k-th instance made (destroyed ones
+#: included), or advance the clock (by 0: equal instants)
+_driver_steps = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 40)),
+                         max_size=60)
+
+
+@given(_driver_steps)
+@settings(max_examples=200, deadline=None)
+def test_driver_history_matches_per_instance_record(steps):
+    """The driver keeps alive instances only, yet its CPU·hours and
+    peak equal the per-instance figures over every instance it made."""
+    sim = SimpleNamespace(now=0.0)
+    drv = ComputeDriver(ProviderProfile("p", boot_delay=0.0), sim,
+                        rng=np.random.default_rng(0))
+    made = []  # [instance, created_at, destroyed_at or None]
+    for op, k in steps:
+        if op == 0:
+            made.append([drv.create_node(), sim.now, None])
+        elif op == 1 and made:
+            record = made[k % len(made)]
+            drv.destroy_node(record[0])  # a second destroy is a no-op
+            if record[2] is None:
+                record[2] = sim.now
+        else:
+            sim.now += k * 0.37  # not exact in binary: sums are ordered
+        alive = [inst for inst, _c, d in made if d is None]
+        assert list(drv.instances.values()) == alive
+        assert drv.running_count() == len(alive)
+    now = sim.now
+    expected = sum(max(0.0, (now if d is None else d) - c)
+                   for _inst, c, d in made) / 3600.0
+    assert drv.total_cpu_hours() == expected
+    assert drv.peak_concurrency() == _tuple_sweep(
+        [c for _inst, c, _d in made],
+        [math.inf if d is None else d for _inst, _c, d in made])
 
 
 # ----------------------------------------------------------------- drivers
@@ -121,8 +159,9 @@ def test_destroy_node_and_cpu_accounting():
     inst = drv.create_node()
     sim.at(7200.0, lambda: drv.destroy_node(inst))
     sim.run()
-    assert not inst.alive
-    assert inst.cpu_seconds(1e9) == pytest.approx(7200.0)
+    assert drv.list_nodes() == [] and drv.instances == {}
+    assert list(drv.created) == [0.0]
+    assert list(drv.destroyed) == [7200.0]
     assert drv.total_cpu_hours() == pytest.approx(2.0)
 
 
@@ -132,6 +171,28 @@ def test_destroy_unknown_instance():
     other = get_driver("simulation", sim).create_node()
     with pytest.raises(CloudError):
         drv.destroy_node(other)
+
+
+def test_destroy_node_is_idempotent_and_checks_ownership():
+    sim = Simulation()
+    drv = get_driver("simulation", sim)
+    inst = drv.create_node()
+    drv.destroy_node(inst)
+    drv.destroy_node(inst)  # no-op
+    assert drv.running_count() == 0 and drv.instances == {}
+    assert list(drv.destroyed) == [0.0]
+    # another driver's instance, destroyed there, holds a row this
+    # driver has too: it is still not this driver's to destroy
+    other = get_driver("simulation", sim)
+    foreign = other.create_node()
+    other.destroy_node(foreign)
+    assert foreign.row == inst.row == 0
+    with pytest.raises(CloudError):
+        drv.destroy_node(foreign)
+    alive_foreign = other.create_node()
+    with pytest.raises(CloudError):
+        drv.destroy_node(alive_foreign)
+    assert other.running_count() == 1 and drv.running_count() == 0
 
 
 def test_quota_enforced():
@@ -152,7 +213,8 @@ def test_quota_frees_on_destroy():
     drv.destroy_node(inst)
     drv.create_node()  # no raise
     assert drv.running_count() == 1
-    assert len(drv.list_nodes(alive_only=False)) == 2
+    assert len(drv.list_nodes()) == 1
+    assert len(drv.created) == len(drv.destroyed) == 2
 
 
 # ---------------------------------------------------------------- agents

@@ -137,8 +137,11 @@ def test_ledger_records_operations():
     cs.order("bot1", "alice", 100.0)
     cs.bill("bot1", 10.0)
     cs.close("bot1")
+    # transitions only: the spend lives on the order, not in the ledger
     ops = [op for op, _, _ in cs.ledger]
-    assert ops == ["deposit", "order", "bill", "close"]
+    assert ops == ["deposit", "order", "close"]
+    assert cs.get_order("bot1").spent == 10.0
+    assert cs.ledger[-1] == ("close", "bot1", 90.0)
 
 
 # ----------------------------------------------------------------- deposit

@@ -14,17 +14,25 @@ and say so in the commit.
 
 The same runs also pin that a simulation leaves no reference cycles
 behind: reference counting alone frees everything a run discards, so
-the cyclic collector only has to walk the live world.
+the cyclic collector only has to walk the live world.  And they pin
+that a run keeps state proportional to what is live, not to its
+history: no bill log, no stopped cloud worker kept by the scheduler
+or its driver, and every credit deposited still accounted for.
 """
 
 import contextlib
 import gc
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from credit_audit import assert_conserved
+from repro.cloud.api import CloudInstance, ComputeDriver
+from repro.cloud.worker import CloudWorkerHandle, RescheduleAgent
+from repro.core.scheduler import SpeQuloSScheduler
 from repro.deployment.edgi import EDGIConfig, EDGIDeployment, run_edgi
 from repro.experiments.config import (
     DCISpec,
@@ -55,29 +63,91 @@ _GOLDENS = _load("drift_goldens.json")
 _EDGI = _load("edgi_goldens.json")
 
 
+def _held(value):
+    """The objects one attribute value holds directly."""
+    if isinstance(value, dict):
+        return value.values()
+    if isinstance(value, (list, tuple, set)):
+        return value
+    return (value,)
+
+
+def _check_run_state(sim):
+    """Assert what a run keeps, right after it with its world still
+    referenced, and return its census: how many cloud worker handles,
+    Reschedule agents and cloud instances of this world outlive their
+    worker's stop.
+
+    * each driver of the world holds its alive instances only;
+    * no ``QoSRun`` references a stopped handle, and no stopped handle
+      keeps its agent;
+    * the credit ledger holds no bill, and credits are conserved.
+    """
+    objects = gc.get_objects()
+    drivers = [o for o in objects if type(o) is ComputeDriver
+               and o.sim is sim]
+    for driver in drivers:
+        assert len(driver.instances) == driver.running_count(), \
+            "the driver keeps destroyed instances"
+    live = set()
+    for sched in (o for o in objects if type(o) is SpeQuloSScheduler
+                  and o.sim is sim):
+        assert not [e for e in sched.credits.ledger if e[0] == "bill"]
+        assert_conserved(sched.credits)
+        for run in sched.runs.values():
+            for value in vars(run).values():
+                assert not any(type(h) is CloudWorkerHandle and h.stopped
+                               for h in _held(value)), \
+                    f"run {run.bot_id!r} references a stopped worker"
+            for handle in run.live.values():
+                live.update(map(id, (handle, handle.agent,
+                                     handle.instance)))
+    owners = {driver._owner for driver in drivers}
+    retained = 0
+    for obj in objects:
+        kind = type(obj)
+        if kind is CloudWorkerHandle:
+            if obj.stopped:
+                assert obj.agent is None, "a stopped worker keeps its agent"
+            mine = obj.instance.owner in owners
+        elif kind is CloudInstance:
+            mine = obj.owner in owners
+        elif kind is RescheduleAgent:
+            mine = obj.sim is sim
+        else:
+            continue
+        retained += mine and id(obj) not in live
+    return retained
+
+
 @contextlib.contextmanager
 def _post_run_garbage():
-    """Yield the type names of the garbage found right after each
-    ``Simulation.run`` inside the block.
+    """Yield what each ``Simulation.run`` inside the block left: the
+    type names of the garbage found right after it (``garbage``) and
+    the census of :func:`_check_run_state` (``retained``, one count
+    per run), whose assertions it runs too.
 
     The collector is off meanwhile.  A collection right before every
     run clears what world assembly left (``ast.literal_eval``, which
     NumPy uses to parse ``.npz`` headers, leaves closure cycles); the
     one right after it, with ``gc.DEBUG_SAVEALL`` and the world still
-    referenced, sees only cycles the run itself created.
+    referenced, sees only cycles the run itself created.  The state
+    checks run in between, so they see such cycles too.
     """
-    found = []
+    seen = SimpleNamespace(garbage=[], retained=[])
     run = Simulation.run
 
     def run_then_collect(self, *args, **kwargs):
         gc.collect()
         try:
-            return run(self, *args, **kwargs)
+            result = run(self, *args, **kwargs)
+            seen.retained.append(_check_run_state(self))
+            return result
         finally:
             gc.set_debug(gc.DEBUG_SAVEALL)
             try:
                 gc.collect()
-                found.extend(type(obj).__name__ for obj in gc.garbage)
+                seen.garbage.extend(type(obj).__name__ for obj in gc.garbage)
             finally:
                 gc.set_debug(0)
                 gc.garbage.clear()
@@ -87,7 +157,7 @@ def _post_run_garbage():
     gc.disable()
     Simulation.run = run_then_collect
     try:
-        yield found
+        yield seen
     finally:
         Simulation.run = run
         if enabled:
@@ -99,9 +169,9 @@ def _post_run_garbage():
                              str(g["config"][k]) for k in
                              ("trace", "middleware", "seed")))
 def test_run_execution_matches_pre_harness_golden(golden):
-    with _post_run_garbage() as garbage:
+    with _post_run_garbage() as seen:
         res = run_execution(ExecutionConfig(**golden["config"]))
-    assert garbage == []
+    assert seen.garbage == []
     assert res.makespan == golden["makespan"]
     assert res.censored == golden["censored"]
     assert res.events == golden["events"]
@@ -120,9 +190,9 @@ def test_run_execution_matches_pre_harness_golden(golden):
                              str(g["config"][k]) for k in
                              ("trace", "policy", "seed")))
 def test_run_multi_tenant_matches_pre_harness_golden(golden):
-    with _post_run_garbage() as garbage:
+    with _post_run_garbage() as seen:
         res = run_multi_tenant(MultiTenantConfig(**golden["config"]))
-    assert garbage == []
+    assert seen.garbage == []
     assert res.events == golden["events"]
     assert res.pool_provisioned == golden["pool_provisioned"]
     assert res.pool_spent == golden["pool_spent"]
@@ -152,9 +222,9 @@ def test_run_federated_matches_golden(golden):
     """A routed federation, byte for byte: the load-reading routers
     probe every pool (``idle_count``) at each arrival, so these pin the
     pool's probe refiles, which decide what later draws see."""
-    with _post_run_garbage() as garbage:
+    with _post_run_garbage() as seen:
         res = run_federated(_scenario(golden["config"]))
-    assert garbage == []
+    assert seen.garbage == []
     assert res.events == golden["events"]
     assert res.pool_provisioned == golden["pool_provisioned"]
     assert res.pool_spent == golden["pool_spent"]
@@ -165,6 +235,31 @@ def test_run_federated_matches_golden(golden):
             zip(res.dcis, golden["dcis"])] == golden["dcis"]
     assert len(res.tenants) == len(golden["tenants"])
     assert len(res.dcis) == len(golden["dcis"])
+
+
+def test_stopped_cloud_workers_leave_nothing_behind():
+    """A Reschedule federation that launches and stops ~2,000 cloud
+    workers, run until its last BoT completes: right after the run, a
+    census of every tracked object finds no handle, agent or instance
+    of a stopped worker.
+
+    Only a pending event can keep one: a worker stopped before it
+    boots, or right after it went idle, is held by its boot or fetch
+    event until that event runs, and a simulation stopped at the last
+    completion never runs it.  This scenario has no such worker."""
+    cfg = ScenarioConfig(
+        dcis=(DCISpec(trace="nd", middleware="boinc", provider="stratuslab"),
+              DCISpec(trace="nd", middleware="xwhep", provider="ec2")),
+        seed=11, n_tenants=16, categories=("SMALL",), bot_size=50,
+        strategy="9C-G-R", routing="cheapest_drain", pool_fraction=0.3,
+        arrival_rate_per_hour=40.0,
+        pricing=(("stratuslab", 6.0), ("ec2", 18.0)), horizon_days=15.0)
+    with _post_run_garbage() as seen:
+        res = run_federated(cfg)
+    assert seen.garbage == []
+    assert seen.retained == [0]
+    assert not any(t.censored for t in res.tenants)
+    assert sum(t.workers_launched for t in res.tenants) > 2000
 
 
 def test_boinc_delay_bound_timeouts_leave_no_cycles():
@@ -182,9 +277,9 @@ def test_boinc_delay_bound_timeouts_leave_no_cycles():
                                             delay_bound=100.0))
     server.submit_bot(BagOfTasks(
         bot_id="b", tasks=[Task(i, 2000.0) for i in range(4)]))
-    with _post_run_garbage() as garbage:
+    with _post_run_garbage() as seen:
         sim.run()
-    assert garbage == []
+    assert seen.garbage == []
     assert server.stats.timeouts >= 2
     assert server.stats.discarded_results >= 1
     assert server.bot_completed("b")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from credit_audit import record_bills
 from repro.core.credit import CREDITS_PER_CPU_HOUR, CreditSystem
 from repro.economics import (
     AccountTopUp,
@@ -163,15 +164,15 @@ def test_billing_additive_across_providers(rates, charges):
     bots = [f"bot{i}" for i in range(4)]
     for bot in bots:
         credits.order(bot, "user", 1e8)
+    bills = record_bills(credits)
     meter = BillingMeter(credits, PriceBook(rates=rates))
     for i, provider, busy in charges:
         meter.charge(bots[i], provider, busy)
     total_orders = sum(credits.spent(bot) for bot in bots)
     assert math.isclose(meter.total_spent(), total_orders,
                         rel_tol=0.0, abs_tol=1e-6)
-    ledger_total = sum(amount for op, _who, amount in credits.ledger
-                       if op == "bill")
-    assert math.isclose(meter.total_spent(), ledger_total,
+    billed_total = sum(amount for _bot, amount in bills)
+    assert math.isclose(meter.total_spent(), billed_total,
                         rel_tol=0.0, abs_tol=1e-6)
 
 

@@ -7,12 +7,14 @@ releases of the workers launched before any short charge) and settles
 them the same way at teardown (``stop_all``).  It must be
 byte-identical to the historical per-handle loop, kept below as the
 oracle (:func:`reference_bill_and_manage`, :func:`reference_stop_all`):
-same ``credits.bill`` sequence, same floats in the credit ledger and
-the meter's per-provider dicts, same handle lifecycle decisions and
-the same stop order — under arbitrary busy trajectories, starvation
-stops between ticks, and escrow exhaustion.  A hypothesis test runs
-twin worlds through identical random trajectories and compares full
-state after every step.
+same sequence of non-zero billed amounts (recorded by a spy on each
+world's ``bill``/``bill_many``, see ``credit_audit.record_bills``),
+same floats in the meter's per-provider dicts, same handle lifecycle
+decisions and the same stop order — under arbitrary busy
+trajectories, starvation stops between ticks, and escrow exhaustion.
+A hypothesis test runs twin worlds through identical random
+trajectories and compares full state after every step.  The run keeps
+no list of its launched workers, so each world keeps its own.
 
 Also pinned here: ``BillingMeter.charge_many`` against sequential
 ``charge`` calls and the ``PriceBook`` static-rate cache semantics.
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from credit_audit import record_bills
 from repro.cloud.worker import CloudWorkerHandle
 from repro.core.credit import CreditSystem
 from repro.core.scheduler import (
@@ -99,6 +102,11 @@ class _StubDriver:
 
 def _build_world(n_handles, provision, greedy, idle_grace,
                  deploy=DEPLOY_FLAT, pooled=False):
+    """A scheduler managing one run of ``n_handles`` live workers.
+
+    Returns ``(sched, run, usage, world)``: ``world.launched`` lists
+    the handles in launch order and ``world.bills`` records every
+    non-zero bill."""
     credits = CreditSystem()
     credits.deposit("u", provision)
     if pooled:
@@ -118,16 +126,17 @@ def _build_world(n_handles, provision, greedy, idle_grace,
     if deploy == DEPLOY_CLOUD_DUP:
         usage = run.coordinator = _StubCoordinator()
     sched.runs["b"] = run
+    world = SimpleNamespace(launched=[], bills=record_bills(credits))
     for nid in range(n_handles):
         inst = SimpleNamespace(node=SimpleNamespace(node_id=nid),
                                boot_end=0.0)
         handle = CloudWorkerHandle(inst, deploy)
-        run.handles.append(handle)
+        world.launched.append(handle)
         run.live[nid] = handle
         sched._active_total += 1
         sched._active_by_server[server] = \
             sched._active_by_server.get(server, 0) + 1
-    return sched, run, usage
+    return sched, run, usage, world
 
 
 # ------------------------------------------------------------- oracle
@@ -137,24 +146,25 @@ def _is_busy(run, handle):
     return run.server.is_busy(handle.node)
 
 
-def reference_stop_all(sched, run, reason):
+def reference_stop_all(sched, run, launched, reason):
     """Per-handle teardown: settle and stop each worker in launch order."""
     if run.stop_reason is None:
         run.stop_reason = reason
-    for handle in run.handles:
+    for handle in launched:
         sched._stop_handle(run, handle)
 
 
-def reference_bill_and_manage(sched, run):
+def reference_bill_and_manage(sched, run, launched):
     """Algorithm 2, per handle: bill, release idle workers, stop
     everything on exhaustion — the historical loop."""
     now = sched.sim.now
     greedy = run.combo.size == SIZE_GREEDY
-    for handle in run.handles:
+    for handle in launched:
         if handle.stopped:
             continue
         if not sched._bill_handle(run, handle):
-            reference_stop_all(sched, run, reason="credits exhausted")
+            reference_stop_all(sched, run, launched,
+                               reason="credits exhausted")
             return
         if _is_busy(run, handle):
             handle.ever_assigned = True
@@ -170,23 +180,23 @@ def reference_bill_and_manage(sched, run):
             sched._stop_handle(run, handle)
 
 
-def _handle_state(run):
+def _handle_state(launched):
     return [(h.billed_busy, h.last_busy, h.ever_assigned, h.stopped)
-            for h in run.handles]
+            for h in launched]
 
 
 def _assert_twins_equal(got, ref):
-    (s_g, run_g), (s_r, run_r) = got, ref
-    assert s_g.credits.ledger == s_r.credits.ledger
+    (s_g, run_g, w_g), (s_r, run_r, w_r) = got, ref
+    assert w_g.bills == w_r.bills
     assert s_g.credits.get_order("b").spent == \
         s_r.credits.get_order("b").spent
     assert s_g.meter.spent_by_provider == s_r.meter.spent_by_provider
     assert s_g.meter.cpu_seconds_by_provider == \
         s_r.meter.cpu_seconds_by_provider
-    assert _handle_state(run_g) == _handle_state(run_r)
+    assert _handle_state(w_g.launched) == _handle_state(w_r.launched)
     assert run_g.stop_reason == run_r.stop_reason
     assert run_g.driver.destroyed == run_r.driver.destroyed
-    assert list(run_g.live) == [h.node.node_id for h in run_g.handles
+    assert list(run_g.live) == [h.node.node_id for h in w_g.launched
                                 if not h.stopped]
     assert list(run_g.live) == list(run_r.live)
     assert s_g._active_total == s_r._active_total == len(run_g.live)
@@ -224,10 +234,10 @@ def test_charge_pass_matches_per_handle_oracle(deploy, data):
     provision = data.draw(st.sampled_from([0.02, 0.1, 0.3, 3.0, 1e4]),
                           label="provision")
     pooled = data.draw(st.booleans(), label="pooled")
-    got, run_g, use_g = _build_world(n, provision, greedy, idle_grace,
-                                     deploy, pooled)
-    ref, run_r, use_r = _build_world(n, provision, greedy, idle_grace,
-                                     deploy, pooled)
+    got, run_g, use_g, w_g = _build_world(n, provision, greedy,
+                                          idle_grace, deploy, pooled)
+    ref, run_r, use_r, w_r = _build_world(n, provision, greedy,
+                                          idle_grace, deploy, pooled)
 
     n_ticks = data.draw(st.integers(1, 7), label="ticks")
     now = 0.0
@@ -242,22 +252,22 @@ def test_charge_pass_matches_per_handle_oracle(deploy, data):
             node = SimpleNamespace(node_id=nid)
             got._stop_by_node(run_g, node)
             ref._stop_by_node(run_r, node)
-        _assert_twins_equal((got, run_g), (ref, run_r))
+        _assert_twins_equal((got, run_g, w_g), (ref, run_r, w_r))
 
         _advance(data, (use_g, use_r), n)
         now += 30.0
         got.sim.now = ref.sim.now = now
         got._bill_and_manage(run_g)
-        reference_bill_and_manage(ref, run_r)
-        _assert_twins_equal((got, run_g), (ref, run_r))
+        reference_bill_and_manage(ref, run_r, w_r.launched)
+        _assert_twins_equal((got, run_g, w_g), (ref, run_r, w_r))
 
     # teardown settles usage the escrow may no longer cover
     _advance(data, (use_g, use_r), n)
     now += 30.0
     got.sim.now = ref.sim.now = now
     got.stop_all(run_g, reason="bot completed")
-    reference_stop_all(ref, run_r, reason="bot completed")
-    _assert_twins_equal((got, run_g), (ref, run_r))
+    reference_stop_all(ref, run_r, w_r.launched, reason="bot completed")
+    _assert_twins_equal((got, run_g, w_g), (ref, run_r, w_r))
     assert not run_g.live
 
 
@@ -265,25 +275,26 @@ def test_exhausting_tick_takes_the_scalar_fallback():
     """A tick whose charges overrun the escrow stops every worker, in
     the order the per-handle loop would (the scenario the scheduler
     once routed to a scalar replay)."""
-    sched, run, srv = _build_world(3, provision=0.01, greedy=False,
-                                   idle_grace=None)
+    sched, run, srv, world = _build_world(3, provision=0.01, greedy=False,
+                                          idle_grace=None)
     for i in range(3):
         srv.busy_sec[i] = 3600.0  # 15 credits each at the paper rate
     sched.sim.now = 60.0
     sched._bill_and_manage(run)
     assert run.stop_reason == "credits exhausted"
-    assert all(h.stopped for h in run.handles)
+    assert all(h.stopped for h in world.launched)
     assert not run.live
     assert run.driver.destroyed == [0, 1, 2]
     assert sched.credits.get_order("b").spent == 0.01
+    assert world.bills == [("b", 0.01)]
     # every worker's usage is accounted, even the uncovered ones
     assert sched.meter.cpu_seconds_by_provider == {"stubcloud": 3 * 3600.0}
 
 
 def test_stop_by_node_uses_the_index():
-    sched, run, _srv = _build_world(4, provision=100.0, greedy=False,
-                                    idle_grace=None)
-    target = run.handles[2]
+    sched, run, _srv, world = _build_world(4, provision=100.0, greedy=False,
+                                           idle_grace=None)
+    target = world.launched[2]
     sched._stop_by_node(run, target.node)
     assert target.stopped
     assert list(run.live) == [0, 1, 3]
@@ -308,9 +319,9 @@ def test_charge_many_matches_sequential_charges(data):
         credits = CreditSystem()
         credits.deposit("u", provision)
         credits.order("b", "u", provision)
-        return BillingMeter(credits, book)
+        return BillingMeter(credits, book), record_bills(credits)
 
-    seq, batch = fresh(), fresh()
+    (seq, seq_bills), (batch, batch_bills) = fresh(), fresh()
     expected_fail = -1
     for i, d in enumerate(deltas):
         billed, asked = seq.charge("b", "p", d, now=60.0)
@@ -319,7 +330,7 @@ def test_charge_many_matches_sequential_charges(data):
             break  # the scheduler stops billing here
     got_fail = batch.charge_many("b", "p", deltas, now=60.0)
     assert got_fail == expected_fail
-    assert batch.credits.ledger == seq.credits.ledger
+    assert batch_bills == seq_bills
     assert batch.credits.get_order("b").spent == \
         seq.credits.get_order("b").spent
     assert batch.spent_by_provider == seq.spent_by_provider

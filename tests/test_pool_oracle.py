@@ -7,16 +7,26 @@ cloud and volatile ``Node`` members coming and going, and all three
 probes.  After every step the results and every structure must match:
 draw lists, ready index (insertion order included), sorted heap
 contents, epoch cursors, interval cursors and the RNG state.
+
+The sweep's bulk refile moves cursors with
+``NodeColumns.next_available_many``, which looks at most
+``_LOOKAHEAD`` intervals ahead per host and lets a host that runs past
+them finish with the scalar ``advance``; that fallback is pinned here
+too, with the look-ahead cut to 1 and 2 intervals.
 """
 
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pool_oracle import ScalarProbePool
+from repro.infra import columns
+from repro.infra.catalog import get_trace_spec
 from repro.infra.columns import NodeColumns
 from repro.infra.node import Node
 from repro.infra.pool import NodePool
@@ -154,6 +164,14 @@ ops = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 60),
                min_size=1, max_size=50)
 
 
+def _drive(twin, steps=300):
+    """A fixed pseudo-random drive of ``steps`` operations."""
+    g = np.random.default_rng(9)
+    for _ in range(steps):
+        twin.step(int(g.integers(0, 9)), float(g.integers(0, 12)),
+                  int(g.integers(0, 10 ** 4)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(fleet_seed=st.integers(0, 10 ** 4), n=st.integers(20, 160),
        rng_seed=st.integers(0, 10 ** 4), steps=ops)
@@ -198,10 +216,93 @@ def test_twin_drive_runs_both_branches_of_each_probe(monkeypatch):
     counted(NodePool, "_enqueue", "entry")
     counted(NodePool, "_file_ready_many", "bulk")
     counted(NodeColumns, "next_available_many", "bulk")
-    twin = Twin(fleet_seed=5, n=150, rng_seed=2)
-    g = np.random.default_rng(9)
-    for _ in range(300):
-        twin.step(int(g.integers(0, 9)), float(g.integers(0, 12)),
-                  int(g.integers(0, 10 ** 4)))
+    _drive(Twin(fleet_seed=5, n=150, rng_seed=2))
     for step in ("_promote", "_sweep_stale"):
         assert seen[step, "entry"] > 0 and seen[step, "bulk"] > 0, seen
+
+
+# ------------------------------------------------- bounded look-ahead
+
+def _count_fallbacks(monkeypatch):
+    """Count the ``advance`` calls made inside ``next_available_many``."""
+    seen = Counter()
+    bulk, advance = NodeColumns.next_available_many, NodeColumns.advance
+
+    def scoped(self, ids, t):
+        seen["bulk"] += 1
+        try:
+            return bulk(self, ids, t)
+        finally:
+            seen["bulk"] -= 1
+
+    def counted(self, i, t):
+        if seen["bulk"]:
+            seen["fallback"] += 1
+        return advance(self, i, t)
+
+    monkeypatch.setattr(NodeColumns, "next_available_many", scoped)
+    monkeypatch.setattr(NodeColumns, "advance", counted)
+    return seen
+
+
+@pytest.mark.parametrize("lookahead", [1, 2])
+def test_short_lookahead_pool_matches_per_host_reference(monkeypatch,
+                                                         lookahead):
+    """With the look-ahead cut to 1 or 2 intervals, swept hosts run
+    past it and finish with ``advance``: the batched pool still
+    matches the reference step for step, cursors included."""
+    monkeypatch.setattr(columns, "_LOOKAHEAD", lookahead)
+    seen = _count_fallbacks(monkeypatch)
+    _drive(Twin(fleet_seed=5, n=150, rng_seed=2))
+    assert seen["fallback"] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(fleet_seed=st.integers(0, 10 ** 4), n=st.integers(1, 60),
+       steps=st.lists(st.tuples(st.integers(0, 10 ** 4),
+                                st.integers(0, 150)),
+                      min_size=1, max_size=8))
+def test_next_available_many_matches_per_host_advance(fleet_seed, n, steps):
+    """Results and cursors equal :meth:`NodeColumns.next_available`'s,
+    host by host, at every look-ahead."""
+    template = columns_from_raw(_fleet(fleet_seed, n))
+    for lookahead in (1, 2, columns._LOOKAHEAD):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(columns, "_LOOKAHEAD", lookahead)
+            bulk, ref = template.fresh(), template.fresh()
+            t = 0.0
+            for pick, dt in steps:
+                t += dt
+                g = np.random.default_rng(pick)
+                ids = g.choice(n, size=int(g.integers(0, n + 1)),
+                               replace=False).astype(np.int64)
+                starts, ends = bulk.next_available_many(ids, t)
+                got = [None if s != s else (s, e) for s, e
+                       in zip(starts.tolist(), ends.tolist())]
+                assert got == [ref.next_available(int(i), t) for i in ids]
+                assert bulk.cursor.tolist() == ref.cursor.tolist()
+
+
+def test_lookahead_bounds_a_120_day_call():
+    """Over 2,000 seti hosts with 120 days of intervals (~224 per
+    host), one call from fresh cursors allocates under 1 kB per host.
+    Laying out every remaining interval took 11.3 MB here, ~5.6 kB per
+    host, growing with the horizon."""
+    flat = get_trace_spec("seti").materialize(
+        np.random.default_rng(1), 120 * 86400.0, max_nodes=2000)
+    template = NodeColumns.from_flat(*flat)
+    assert np.diff(template.offsets).mean() > 200
+    bulk, ref = template.fresh(), template.fresh()
+    ids = np.arange(template.n, dtype=np.int64)
+    t = 86400.0
+    tracemalloc.start()
+    try:
+        starts, ends = bulk.next_available_many(ids, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * template.n
+    got = [None if s != s else (s, e)
+           for s, e in zip(starts.tolist(), ends.tolist())]
+    assert got == [ref.next_available(i, t) for i in range(ref.n)]
+    assert bulk.cursor.tolist() == ref.cursor.tolist()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cloud.registry import get_driver
+from repro.core import scheduler
 from repro.core.credit import CREDITS_PER_CPU_HOUR
 from repro.core.scheduler import SchedulerConfig
 from repro.core.service import SpeQuloS
@@ -29,6 +30,21 @@ def make_stack(nodes, pool_seed=0, scheduler_config=None):
     driver = get_driver("simulation", sim, rng=np.random.default_rng(1))
     speq.connect_dci("dci", srv, driver)
     return sim, srv, speq, driver
+
+
+@pytest.fixture
+def launched(monkeypatch):
+    """Every cloud worker handle the scheduler creates, in launch
+    order (the run itself keeps only the workers not yet stopped)."""
+    handles = []
+    make = scheduler.CloudWorkerHandle
+
+    def record(instance, deploy_mode):
+        handles.append(make(instance, deploy_mode))
+        return handles[-1]
+
+    monkeypatch.setattr(scheduler, "CloudWorkerHandle", record)
+    return handles
 
 
 def slow_nodes(n, power=10.0):
@@ -90,7 +106,7 @@ def test_cloud_workers_start_after_trigger_and_speed_up():
     assert t < 2500.0  # tail removed (baseline: 10_000 s)
 
 
-def test_order_settled_and_refunded_on_completion():
+def test_order_settled_and_refunded_on_completion(launched):
     nodes = slow_nodes(10, power=10.0)
     sim, srv, speq, _ = make_stack(nodes)
     bot = bot_of(10, nops=100_000.0, wall_clock=10_000.0)
@@ -104,7 +120,9 @@ def test_order_settled_and_refunded_on_completion():
     assert speq.credits.balance("u") == pytest.approx(1000.0 - order.spent)
     run = speq.run_for(bot.bot_id)
     assert run.finished
-    assert all(h.stopped for h in run.handles)
+    assert len(launched) == run.workers_launched
+    assert all(h.stopped for h in launched)
+    assert not run.live
 
 
 def test_no_credits_no_cloud():
@@ -118,7 +136,7 @@ def test_no_credits_no_cloud():
     assert driver.total_cpu_hours() == 0.0
 
 
-def test_billing_is_busy_time_at_fixed_rate():
+def test_billing_is_busy_time_at_fixed_rate(launched):
     nodes = slow_nodes(10, power=10.0)
     sim, srv, speq, _ = make_stack(nodes)
     bot = bot_of(10, nops=100_000.0, wall_clock=10_000.0)
@@ -128,7 +146,8 @@ def test_billing_is_busy_time_at_fixed_rate():
     srv.submit_bot(bot, at=0.0)
     run_to_completion(sim, srv, bot.bot_id)
     run = speq.run_for(bot.bot_id)
-    busy = sum(srv.cloud_busy_seconds(h.node) for h in run.handles)
+    assert len(launched) == run.workers_launched
+    busy = sum(srv.cloud_busy_seconds(h.node) for h in launched)
     expected = busy / 3600.0 * CREDITS_PER_CPU_HOUR
     assert speq.credits.spent(bot.bot_id) == pytest.approx(expected,
                                                            rel=0.01)
@@ -150,7 +169,7 @@ def test_credit_exhaustion_stops_workers():
     assert speq.credits.spent(bot.bot_id) <= 0.5 + 1e-6
 
 
-def test_greedy_releases_never_assigned_workers():
+def test_greedy_releases_never_assigned_workers(launched):
     """Greedy launches S workers; those that get no unit stop after a
     tick instead of lingering."""
     cfg = SchedulerConfig(tick_period=60.0, greedy_release_grace=60.0)
@@ -167,7 +186,8 @@ def test_greedy_releases_never_assigned_workers():
     run = speq.run_for(bot.bot_id)
     assert run.workers_launched > 4  # greedy over-provisioned
     # but the extra ones were stopped without ever computing
-    idle_stopped = [h for h in run.handles
+    assert len(launched) == run.workers_launched
+    idle_stopped = [h for h in launched
                     if h.stopped and not h.ever_assigned]
     assert idle_stopped
 
