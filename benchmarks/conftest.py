@@ -49,10 +49,10 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(
             f"campaign store: {store.stats.summary()}, "
             f"{len(store)} records, jobs={default_jobs()} — {store.path}")
-    # the two-tier trace cache: L1 LRU counters (with disk promotions)
-    # next to the shared on-disk store's own accounting
+    # the world cache's LRU counters (with disk promotions) next to
+    # the shared on-disk trace store's own accounting
     if TRACE_CACHE.hits or TRACE_CACHE.misses:
-        line = f"trace cache: {TRACE_CACHE.summary()}"
+        line = f"world cache: {TRACE_CACHE.summary()}"
         traces = default_trace_store()
         if traces is not None:
             line += f" — store: {traces.summary()}"
@@ -91,11 +91,6 @@ def pytest_terminal_summary(terminalreporter):
                 f"acquires in {disp['dispatches']:,} dispatch passes, "
                 f"{disp['ghost_compactions']} ghost compactions, "
                 f"{disp['profile_share']:.1%} of run wall")
-    # world-assembly skeleton cache (per-process; filled by the sweep)
-    from repro.experiments.harness import ASSEMBLY_CACHE
-    if ASSEMBLY_CACHE.hits or ASSEMBLY_CACHE.misses:
-        terminalreporter.write_line(
-            f"assembly cache: {ASSEMBLY_CACHE.summary()}")
 
 
 @pytest.fixture(scope="session")

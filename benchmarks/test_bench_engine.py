@@ -43,6 +43,7 @@ from repro.experiments import trace_store as ts
 from repro.experiments.harness import TraceCache
 from repro.experiments.report import results_dir
 from repro.experiments.trace_store import TraceStore
+from repro.infra.node import nodes_from_flat
 
 # seti-class realization: 10^4 hosts over a few days is the shape the
 # paper's biggest campaigns materialize over and over across shards
@@ -99,16 +100,18 @@ def _merge_payload(section: dict) -> None:
 
 
 def _materialize_fresh(seed: int, columns: bool) -> float:
-    """Wall seconds for a fresh L1 (new shard) to realize the trace, as
-    the ``NodeColumns`` runs build pools from or as a ``Node`` list."""
+    """Wall seconds for a fresh world cache (new shard) to realize the
+    trace, as the ``NodeColumns`` runs build pools from or as a
+    ``Node`` list over the world's template."""
     cache = TraceCache()
     t0 = time.perf_counter()
     if columns:
         realization = cache.materialize_columns("seti", seed, SETI_CAP,
                                                 SETI_HORIZON)
     else:
-        realization = cache.materialize("seti", seed, SETI_CAP,
-                                        SETI_HORIZON)
+        t = cache.skeleton("seti", seed, SETI_CAP, SETI_HORIZON).template
+        realization = nodes_from_flat(t.starts, t.ends, t.offsets, t.power,
+                                      t.tags)
     wall = time.perf_counter() - t0
     assert len(realization) == SETI_CAP
     return wall

@@ -7,7 +7,7 @@ The executor is the single path every campaign takes:
 2. **Sharding** — pending configs are partitioned by trace realization
    ``(trace, seed)`` so each worker process materializes a given
    BE-DCI environment once and replays it for every strategy variant
-   (the same locality the in-process LRU trace cache exploits).
+   (the same locality the in-process LRU world cache exploits).
 3. **Execution** — shards fan out over a ``ProcessPoolExecutor``.  A
    pool that cannot start (``OSError``/``ImportError``) *or breaks
    mid-run* (a worker crash raising ``BrokenProcessPool``) degrades to

@@ -310,7 +310,7 @@ def _print_store_stats() -> None:
     if store is not None:
         print(f"[store] {store.stats.summary()} — {store.path}")
     if TRACE_CACHE.hits or TRACE_CACHE.misses:
-        print(f"[trace cache] {TRACE_CACHE.summary()}")
+        print(f"[world cache] {TRACE_CACHE.summary()}")
 
 
 def _add_env_args(p: argparse.ArgumentParser) -> None:
@@ -445,7 +445,7 @@ def _cmd_fed(args) -> int:
 
 def _cmd_store(args) -> int:
     from repro.campaign.store import ResultStore, default_store_path
-    from repro.experiments.harness import ASSEMBLY_CACHE, TRACE_CACHE
+    from repro.experiments.harness import TRACE_CACHE
     from repro.experiments.trace_store import (
         TraceStore,
         default_trace_store_path,
@@ -469,13 +469,11 @@ def _cmd_store(args) -> int:
         print(f"  {current} current + {stale} stale realizations, "
               f"{traces.file_bytes()} bytes on disk "
               f"(generator {traces.fingerprint})")
-        # warm-run diagnostics in one place: the trace-cache LRU
+        # warm-run diagnostics in one place: the world cache's LRU
         # counters next to the persistent store's accounting (the
         # cache is per process — the live numbers appear after report/
         # sweep runs, which print the same line)
-        print(f"  trace cache (this process): {TRACE_CACHE.summary()}")
-        print(f"  assembly cache (this process): "
-              f"{ASSEMBLY_CACHE.summary()}")
+        print(f"  world cache (this process): {TRACE_CACHE.summary()}")
         return 0
     rows, nbytes = store.gc()
     print(f"store gc: reclaimed {rows} stale rows "

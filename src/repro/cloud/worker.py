@@ -93,8 +93,12 @@ class RescheduleAgent:
                 self._on_starved(self)
 
     def stop(self) -> None:
-        """Detach from the server; a running unit still completes."""
+        """Detach from the server; a running unit still completes.
+
+        The callbacks go too: a boot or fetch event still pending keeps
+        only the agent, not what ``on_starved`` closes over."""
         self.active = False
+        self._on_work = self._on_starved = None
         self.server.unregister_idle_callback(self.node)
 
 
@@ -156,7 +160,11 @@ class CloudDuplicationCoordinator:
         self.sim.at(boot, self._feed, node)
 
     def remove_worker(self, node: Node) -> None:
+        """Withdraw a worker the scheduler has settled, with its busy
+        time; a copy still running on it ends without recording any."""
         self.workers.pop(node.node_id, None)
+        self._busy_acc.pop(node.node_id, None)
+        self._busy_since.pop(node.node_id, None)
 
     # ------------------------------------------------------------------
     def _feed(self, node: Node) -> None:

@@ -105,9 +105,6 @@ class BoTMonitor:
     def fraction_completed(self) -> float:
         return self.completed_count / self.total
 
-    def fraction_assigned(self) -> float:
-        return self.assigned_count / self.total
-
     def tc(self, fraction: float) -> Optional[float]:
         """Elapsed time when ``fraction`` of the BoT completed, or None."""
         return self._at_fraction(self.completion_times, fraction)

@@ -535,17 +535,21 @@ class SpeQuloSScheduler:
         del run.live[node.node_id]
         self._active_total -= 1
         self._active_by_server[run.server] -= 1
-        if handle.deploy_mode == DEPLOY_FLAT:
-            run.server.remove_cloud_node(node)
-        elif handle.deploy_mode == DEPLOY_RESCHEDULE:
-            assert isinstance(handle.agent, RescheduleAgent)
-            handle.agent.stop()
-            # the agent's on_starved closure holds the handle: releasing
-            # it breaks that cycle, so a stopped worker is freed at once
-            handle.agent = None
-        else:
+        # settled above, so the worker's busy time goes with it
+        if handle.deploy_mode == DEPLOY_CLOUD_DUP:
             assert run.coordinator is not None
             run.coordinator.remove_worker(node)
+        else:
+            run.server.drop_cloud_usage(node)
+            if handle.deploy_mode == DEPLOY_FLAT:
+                run.server.remove_cloud_node(node)
+            else:
+                assert isinstance(handle.agent, RescheduleAgent)
+                handle.agent.stop()
+                # the agent's on_starved closure holds the handle:
+                # releasing it breaks that cycle, so a stopped worker
+                # is freed at once
+                handle.agent = None
         run.driver.destroy_node(handle.instance)
 
     def _stop_by_node(self, run: QoSRun, node) -> None:

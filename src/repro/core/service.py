@@ -178,11 +178,3 @@ class SpeQuloS:
 
     def run_for(self, bot_id: str) -> QoSRun:
         return self.scheduler.runs[bot_id]
-
-    def credits_summary(self, bot_id: str) -> Dict[str, float]:
-        """Provisioned / spent / refunded view for reports (Figure 5)."""
-        order = self.credits.get_order(bot_id)
-        if order is None:
-            return {"provisioned": 0.0, "spent": 0.0, "remaining": 0.0}
-        return {"provisioned": order.provisioned, "spent": order.spent,
-                "remaining": self.credits.remaining_for(bot_id)}

@@ -106,9 +106,6 @@ class ExecutionConfig:
         return replace(self, strategy=strategy,
                        strategy_threshold=threshold)
 
-    def with_seed(self, seed: int) -> "ExecutionConfig":
-        return replace(self, seed=seed)
-
     def with_credit_fraction(self, fraction: float) -> "ExecutionConfig":
         return replace(self, credit_fraction=fraction)
 

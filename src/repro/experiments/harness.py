@@ -24,32 +24,32 @@ where ``stream`` is empty for single-DCI scenarios (bit-identical to
 the historical layout) and ``(dci_index,)`` in a federation, so two
 DCIs sharing a trace name still realize *different* environments.
 
-Trace-realization cache (two tiers): materialized interval arrays are
-cached per ``(trace, seed-stream, cap, horizon)``.  L1 is a true-LRU
-in-process dict — paired with/without runs, the 18-combination
-strategy grid and every DCI of a federated sweep replay the same
-environments, so regeneration would be pure waste.  Capacity comes
-from ``REPRO_TRACE_CACHE`` (default 6; federated scenarios materialize
-several traces per execution and would silently thrash a smaller
-cache).  L2 is the content-addressed on-disk
-:class:`~repro.experiments.trace_store.TraceStore` shared across
-processes: an L1 miss first tries the store (memory-mapped, no
-regeneration), and fresh realizations are archived on the way in, so
-`CampaignExecutor` shards — keyed by ``(trace, seed)`` — land on warm
-entries by construction.  Hit/miss/eviction counters are kept on the
-cache object; ``disk_hits`` counts L2 promotions.  Entries are the
-store's columnar arrays, and they are **read-only** (a mutating consumer
-fails loudly instead of silently corrupting every future execution
-sharing the realization) — scan cursors live outside them and are
-rebuilt per execution.
+World cache: :data:`TRACE_CACHE` is the process's one cache of
+assembled worlds, a true LRU of :data:`CAPACITY` realizations keyed by
+``(trace, (seed, *stream), cap, horizon)``.  Paired with/without runs,
+the 18-combination strategy grid and every DCI of a federated sweep
+replay the same environments, so each entry keeps what
+:meth:`ScenarioHarness.build_dci` reuses: the realization's read-only
+:class:`~repro.infra.columns.NodeColumns` template and its t=0 pool
+filing, both made once on the miss.  The middleware, its config and
+the cloud provider change neither, so BOINC and XWHEP DCIs over one
+realization share one entry.  A miss first tries the content-addressed
+on-disk :class:`~repro.experiments.trace_store.TraceStore` shared
+across processes (memory-mapped, no regeneration), and fresh
+realizations are archived on the way in, so `CampaignExecutor` shards
+— keyed by ``(trace, seed)`` — land on warm entries by construction.
+Hit/miss/eviction counters are kept on the cache object;
+``disk_hits`` counts store promotions.  The template's columns are
+**read-only** (a mutating consumer fails loudly instead of silently
+corrupting every later execution sharing the realization); scan
+cursors live outside them and are rebuilt per execution.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,120 +63,85 @@ from repro.experiments.trace_store import default_trace_store
 from repro.history import HistoryPlane
 from repro.infra.catalog import get_trace_spec
 from repro.infra.columns import NodeColumns
-from repro.infra.node import Node, nodes_from_flat
 from repro.infra.pool import NodePool
+from repro.middleware import resolve_server
 from repro.middleware.base import DGServer
 from repro.simulator.engine import Simulation
 
-__all__ = ["TraceCache", "TRACE_CACHE", "AssemblyCache", "ASSEMBLY_CACHE",
-           "HarnessDCI", "ScenarioHarness"]
+__all__ = ["CAPACITY", "World", "TraceCache", "TRACE_CACHE",
+           "AssemblyCache", "ASSEMBLY_CACHE", "HarnessDCI", "ScenarioHarness"]
 
 
 # ---------------------------------------------------------------------------
-# trace realization cache (per process, true LRU)
+# world cache (per process, true LRU)
 # ---------------------------------------------------------------------------
 _TraceKey = Tuple[str, Tuple[int, ...], int, float]
 
+#: worlds the cache keeps: all of one scenario's DCIs must fit, or a
+#: sweep re-assembles every DCI for each config (a 12-DCI federation
+#: swept over routings does)
+CAPACITY = 16
+
+
+class World(NamedTuple):
+    """One cached realization: the shared columns template and its
+    captured t=0 pool filing (None when the filing is not capturable,
+    see :meth:`~repro.infra.pool.NodePool.capture_filing`)."""
+
+    template: NodeColumns
+    filing: Optional[dict]
+
 
 class TraceCache:
-    """Two-tier cache of materialized trace realizations (flat arrays).
-
-    L1: in-process LRU of realizations in the trace store's columnar
-    layout, ``(starts, ends, offsets, power, tags)``, whether generated
-    or promoted from disk.  L2: the shared content-addressed on-disk
-    :class:`~repro.experiments.trace_store.TraceStore` (disabled under
-    ``REPRO_NO_CACHE=1``).  All cached arrays are read-only; Node
-    rebuilds share them zero-copy.
-    """
+    """The per-process LRU of assembled worlds (see module docstring)."""
 
     def __init__(self) -> None:
-        self._entries: "OrderedDict[_TraceKey, Tuple]" = OrderedDict()
-        #: Node list of an entry, built on the first Node-list request;
-        #: later requests copy it with fresh cursors, so every rebuilt
-        #: list shares the very same per-node arrays
-        self._nodes: dict[_TraceKey, List[Node]] = {}
-        #: NodeColumns template of an entry, built lazily on first
-        #: columnar request and evicted together with its entry
-        self._columns: dict[_TraceKey, NodeColumns] = {}
+        self._entries: "OrderedDict[_TraceKey, World]" = OrderedDict()
         self.hits = 0
-        self.misses = 0       # L1 misses (may still hit disk)
-        self.disk_hits = 0    # L1 misses served by the on-disk store
+        self.misses = 0       # may still be served by the on-disk store
+        self.disk_hits = 0    # misses served by the on-disk store
         self.evictions = 0
 
-    @staticmethod
-    def capacity() -> int:
-        """Entry cap from ``REPRO_TRACE_CACHE`` (default 6, min 1)."""
-        return max(1, int(os.environ.get("REPRO_TRACE_CACHE", "6")))
-
-    def materialize(self, trace: str, seed: int, cap: int, horizon: float,
-                    stream: Sequence[int] = ()) -> List[Node]:
-        """Nodes of one trace realization, rebuilt from cached arrays.
+    def skeleton(self, trace: str, seed: int, cap: int, horizon: float,
+                 stream: Sequence[int] = ()) -> World:
+        """The world of one trace realization.
 
         ``stream`` extends the RNG label (a federated scenario passes
         the DCI index so same-trace DCIs realize independently); the
         empty stream reproduces the historical single-DCI layout.
         """
         key = (trace, (seed, *stream), cap, horizon)
-        entry = self._entry_for(key)
-        template = self._nodes.get(key)
-        if template is None:
-            template = self._nodes[key] = nodes_from_flat(*entry)
-        return [Node(n.node_id, n.power, n.starts, n.ends, tag=n.tag)
-                for n in template]
-
-    def materialize_columns(self, trace: str, seed: int, cap: int,
-                            horizon: float,
-                            stream: Sequence[int] = ()) -> NodeColumns:
-        """One realization as columnar storage (the pool's fast path).
-
-        A :meth:`~repro.infra.columns.NodeColumns.fresh` per-execution
-        instance of :meth:`columns_template` (immutable interval/
-        offset/power columns zero-copy, its own cursor array), so warm
-        executions skip the per-node object rebuild entirely.
-        """
-        return self.columns_template(trace, seed, cap, horizon,
-                                     stream).fresh()
-
-    def columns_template(self, trace: str, seed: int, cap: int,
-                         horizon: float,
-                         stream: Sequence[int] = ()) -> NodeColumns:
-        """The *shared immutable* columns template for one realization
-        (no per-execution cursor copy), built once per cache entry —
-        the assembly cache pins this so sweeps larger than the LRU
-        don't thrash templates.  Every lookup counts and refreshes the
-        entry like any other L1 access."""
-        key = (trace, (seed, *stream), cap, horizon)
-        entry = self._entry_for(key)
-        template = self._columns.get(key)
-        if template is None:
-            template = self._columns[key] = NodeColumns.from_flat(*entry)
-        return template
-
-    def _entry_for(self, key: _TraceKey) -> Tuple:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            entry = self._materialize_miss(key)
-            while len(self._entries) >= self.capacity():
-                evicted, _ = self._entries.popitem(last=False)
-                self._nodes.pop(evicted, None)
-                self._columns.pop(evicted, None)
-                self.evictions += 1
-            self._entries[key] = entry
-        else:
+        world = self._entries.get(key)
+        if world is not None:
             # LRU: a hit refreshes the entry so hot environments survive
             # campaign sweeps that touch more traces than the cache holds.
             self.hits += 1
             self._entries.move_to_end(key)
-        return entry
+            return world
+        self.misses += 1
+        template = NodeColumns.from_flat(*self._materialize_miss(key))
+        probe = NodePool(template.fresh())
+        world = World(template, probe.capture_filing()
+                      if probe.vector_filed else None)
+        while len(self._entries) >= CAPACITY:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+        self._entries[key] = world
+        return world
+
+    def materialize_columns(self, trace: str, seed: int, cap: int,
+                            horizon: float,
+                            stream: Sequence[int] = ()) -> NodeColumns:
+        """One realization as a per-execution
+        :meth:`~repro.infra.columns.NodeColumns.fresh` copy of its
+        template: the columns zero-copy, its own cursor array."""
+        return self.skeleton(trace, seed, cap, horizon,
+                             stream).template.fresh()
 
     def _materialize_miss(self, key: _TraceKey) -> Tuple:
-        """L1 miss: promote from the disk store, else generate + archive.
-
-        The generated arrays are frozen before anything else sees them:
-        every execution rebuilt from this entry shares them zero-copy,
-        so a mutating consumer must fail loudly.
-        """
+        """A miss: promote the flat arrays from the disk store, else
+        generate and archive them (``NodeColumns.from_flat`` freezes
+        them before any execution sees them)."""
         trace, (seed, *stream), cap, horizon = key
         store = default_trace_store()
         if store is not None:
@@ -186,8 +151,6 @@ class TraceCache:
                 return flat
         rng = np.random.default_rng([seed, *stream, 0xACE])
         flat = get_trace_spec(trace).materialize(rng, horizon, cap)
-        for arr in flat[:4]:
-            arr.setflags(write=False)
         if store is not None:
             try:
                 store.save(key, flat)
@@ -201,11 +164,6 @@ class TraceCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._nodes.clear()
-        self._columns.clear()
-
-    def reset_stats(self) -> None:
-        self.hits = self.misses = self.disk_hits = self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -214,86 +172,17 @@ class TraceCache:
         return (f"{self.hits} hits, {self.misses} misses "
                 f"({self.disk_hits} from disk), "
                 f"{self.evictions} evictions, {len(self)} entries "
-                f"(cap {self.capacity()})")
+                f"(cap {CAPACITY})")
 
 
 #: process-wide cache shared by every runner entry point
 TRACE_CACHE = TraceCache()
 
-
-# ---------------------------------------------------------------------------
-# assembly-skeleton cache (per process)
-# ---------------------------------------------------------------------------
-class _AssemblySkeleton:
-    """Everything :meth:`ScenarioHarness.build_dci` can reuse across
-    executions of one DCI spec: the resolved server class, the shared
-    columns template and the captured t=0 pool filing.  All three are
-    execution-independent; only the simulation, the RNGs and the pool
-    cursors are fresh per run."""
-
-    __slots__ = ("server_cls", "template", "filing")
-
-    def __init__(self, server_cls, template: NodeColumns,
-                 filing: Optional[dict]):
-        self.server_cls = server_cls
-        self.template = template
-        self.filing = filing
-
-
-class AssemblyCache:
-    """Per-process cache of world-assembly skeletons.
-
-    One level above the trace cache, and the one place a t=0 pool
-    filing is cached: keyed by the full DCI spec — ``(trace key,
-    middleware, config digest, provider)`` — so repeated sweep shards
-    (the same ``run_federated`` configuration re-executed across seeds
-    of a campaign, or warm bench rounds) skip middleware resolution,
-    the trace-cache lookup and the pool filing entirely.  Skeletons
-    pin their columns template beyond the trace LRU; the map is
-    bounded by the number of distinct DCI specs a process touches.
-    """
-
-    def __init__(self) -> None:
-        self._skeletons: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-    def skeleton(self, trace: str, seed: int, cap: int, horizon: float,
-                 stream: Sequence[int], middleware: str,
-                 middleware_config, provider: str) -> _AssemblySkeleton:
-        from repro.middleware import resolve_server
-        key = (trace, (seed, *stream), cap, horizon,
-               middleware.lower(), repr(middleware_config), provider)
-        skel = self._skeletons.get(key)
-        if skel is not None:
-            self.hits += 1
-            return skel
-        self.misses += 1
-        server_cls = resolve_server(middleware)
-        template = TRACE_CACHE.columns_template(trace, seed, cap,
-                                                horizon, stream)
-        probe = NodePool(template.fresh())
-        filing = probe.capture_filing() if probe.vector_filed else None
-        skel = _AssemblySkeleton(server_cls, template, filing)
-        self._skeletons[key] = skel
-        return skel
-
-    def clear(self) -> None:
-        self._skeletons.clear()
-
-    def reset_stats(self) -> None:
-        self.hits = self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._skeletons)
-
-    def summary(self) -> str:
-        return (f"{self.hits} hits, {self.misses} misses, "
-                f"{len(self)} skeletons")
-
-
-#: process-wide assembly-skeleton cache (see AssemblyCache)
-ASSEMBLY_CACHE = AssemblyCache()
+# Old names, kept while benchmarks/perf resolves and clears them (its
+# tracer wraps ``AssemblyCache.skeleton``); they go with the next
+# benchmark change, as do ``NodePool.acquire_many``/``ready_hint``.
+AssemblyCache = TraceCache
+ASSEMBLY_CACHE = TRACE_CACHE
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +255,22 @@ class ScenarioHarness:
                   middleware_config: Optional[object] = None) -> HarnessDCI:
         """Assemble one DCI from its declarative description.
 
-        Served from the :data:`ASSEMBLY_CACHE` skeleton for the spec:
-        a skeleton hit restores the pool from the captured filing onto
-        a fresh cursor copy and constructs the server class directly —
-        structurally identical to the uncached path (same draw-list
+        The pool is restored from the :data:`TRACE_CACHE` world's
+        captured filing onto a fresh cursor copy of its template:
+        structurally identical to filing it afresh (same draw-list
         order, same RNG streams), just without re-deriving anything.
         """
-        skel = ASSEMBLY_CACHE.skeleton(trace, seed, cap, self.sim.horizon,
-                                       stream, middleware,
-                                       middleware_config, provider)
+        server_cls = resolve_server(middleware)
+        world = TRACE_CACHE.skeleton(trace, seed, cap, self.sim.horizon,
+                                     stream)
         rng = np.random.default_rng([seed, *stream, 0xB00])
-        if skel.filing is not None:
-            pool = NodePool.from_filing(skel.template.fresh(),
-                                        skel.filing, rng=rng)
+        if world.filing is not None:
+            pool = NodePool.from_filing(world.template.fresh(),
+                                        world.filing, rng=rng)
         else:  # degenerate trace: the filing isn't capturable
-            pool = NodePool(skel.template.fresh(), rng=rng)
-        server = skel.server_cls(self.sim, pool, config=middleware_config,
-                                 name=name)
+            pool = NodePool(world.template.fresh(), rng=rng)
+        server = server_cls(self.sim, pool, config=middleware_config,
+                            name=name)
         driver = get_driver(provider, self.sim,
                             rng=np.random.default_rng([seed, *stream, 0xC10]))
         return self.add_dci(name, server, driver, pool)
@@ -402,10 +290,6 @@ class ScenarioHarness:
             for dci in self.dcis.values():
                 self._service.connect_dci(dci.name, dci.server, dci.driver)
         return self._service
-
-    @property
-    def has_service(self) -> bool:
-        return self._service is not None
 
     # ------------------------------------------------------------------
     # submission

@@ -17,9 +17,10 @@ shaping.  Three scenario families share the path:
   budget and the shared pool — the paper's headline topology (Figure
   8) as a reproducible scenario family.
 
-Trace realizations are cached per (trace, seed-stream, cap, horizon)
-with true LRU eviction (``REPRO_TRACE_CACHE`` entries, hit/miss
-counters on :data:`~repro.experiments.harness.TRACE_CACHE`).
+Assembled worlds (a realization's columns template and its t=0 pool
+filing) are cached per (trace, seed-stream, cap, horizon) in one true
+LRU of :data:`~repro.experiments.harness.CAPACITY` entries, with
+hit/miss counters on :data:`~repro.experiments.harness.TRACE_CACHE`.
 """
 
 from __future__ import annotations

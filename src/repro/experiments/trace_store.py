@@ -1,11 +1,12 @@
-"""Content-addressed on-disk store of trace realizations (L2 tier).
+"""Content-addressed on-disk store of trace realizations.
 
-The in-process :class:`~repro.experiments.harness.TraceCache` (L1, an
-LRU of columnar realizations) dies with its process, so every campaign
-shard — the executor shards by ``(trace, seed)`` precisely so each
-worker materializes a given environment once — still paid the dominant
-regeneration cost the first time it touched a realization.  This module
-is the second tier: every materialized realization is archived as one
+The in-process world cache (:class:`~repro.experiments.harness.
+TraceCache`, an LRU of assembled realizations) dies with its process,
+so every campaign shard — the executor shards by ``(trace, seed)``
+precisely so each worker materializes a given environment once — still
+paid the dominant regeneration cost the first time it touched a
+realization.  This module is the tier below it: every materialized
+realization is archived as one
 ``.npz`` file next to the campaign result store, keyed by a SHA-256
 digest of ``(trace, seed-stream, cap, horizon)`` plus a *generator
 fingerprint* (a hash of the trace-generation modules), so shards,

@@ -201,24 +201,10 @@ class NodePool:
             return node.node_id
         return node
 
-    def _out(self, entry: _Entry):
-        """The node object handed to the middleware for an entry."""
-        if type(entry) is int:
-            view = self._views.get(entry)
-            if view is None:
-                view = self._views[entry] = ColumnNode(self._columns, entry)
-            return view
-        return entry
-
     def _next_available(self, entry: _Entry, at: float):
         if type(entry) is int:
             return self._columns.next_available(entry, at)
         return entry.next_available(at)
-
-    def _interval_at(self, entry: _Entry, t: float):
-        if type(entry) is int:
-            return self._columns.interval_at(entry, t)
-        return entry.interval_at(t)
 
     # ------------------------------------------------------------------
     def _init_columns(self, cols: NodeColumns) -> None:

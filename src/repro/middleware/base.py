@@ -360,6 +360,13 @@ class DGServer:
             total += self.sim.now - since
         return total
 
+    def drop_cloud_usage(self, node: Node) -> None:
+        """Forget a stopped cloud worker's busy time once the scheduler
+        has settled it; a unit still running on it then ends without
+        recording any."""
+        self._cloud_busy_acc.pop(node.node_id, None)
+        self._cloud_busy_since.pop(node.node_id, None)
+
     def cloud_usage_of(self, node_ids, now: float):
         """Bulk ``(busy_seconds, busy)`` per node id — one call per
         billing tick instead of two lookups per handle.  Same per-id
@@ -425,8 +432,9 @@ class DGServer:
         self._dispatch()
 
     def remove_cloud_node(self, node: Node) -> None:
-        """Withdraw a Flat cloud worker; a running unit finishes first
-        (the SpeQuloS scheduler stops billing when the node goes idle)."""
+        """Withdraw a Flat cloud worker; a running unit still finishes,
+        unbilled: the SpeQuloS scheduler settled the worker's busy time
+        at its stop and dropped it (:meth:`drop_cloud_usage`)."""
         self._flat_cloud.pop(node.node_id, None)
         self.pool.remove(node)
 

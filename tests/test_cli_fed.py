@@ -163,7 +163,7 @@ def test_cli_store_stats_prints_trace_cache_counters(capsys, tmp_path,
                                                      monkeypatch):
     monkeypatch.setenv("REPRO_STORE", str(tmp_path / "s.sqlite"))
     assert main(["store", "stats"]) == 0
-    assert "trace cache" in capsys.readouterr().out
+    assert "world cache (this process)" in capsys.readouterr().out
 
 
 def test_cli_fed_pricing_and_cheapest_drain(capsys):

@@ -237,37 +237,47 @@ def test_capture_filing_rejects_unvectorized_pools():
 
 
 def _build_twice(monkeypatch, flat=None):
-    """Two ``build_dci`` calls on one DCI spec, against fresh trace and
-    assembly caches; ``flat`` replaces the generated realization."""
+    """A BOINC and an XWHEP ``build_dci`` over one realization, against
+    a fresh world cache; ``flat`` replaces the generated realization.
+    Returns the cache's ``(misses, hits)`` after both builds, the world
+    and the two DCIs, plus a pool filed afresh from the world."""
     from repro.experiments import harness
 
     monkeypatch.setattr(harness, "TRACE_CACHE", harness.TraceCache())
-    monkeypatch.setattr(harness, "ASSEMBLY_CACHE", harness.AssemblyCache())
+    cache = harness.TRACE_CACHE
     if flat is not None:
-        monkeypatch.setattr(harness.TRACE_CACHE, "_materialize_miss",
-                            lambda key: flat)
-    pools = [harness.ScenarioHarness(horizon=2 * 86400.0).build_dci(
-        "d0", trace="nd", middleware="xwhep", seed=3, cap=25).pool
-        for _ in range(2)]
-    fresh = NodePool(harness.TRACE_CACHE.materialize_columns(
-        "nd", 3, 25, 2 * 86400.0), rng=np.random.default_rng([3, 0xB00]))
-    return harness.ASSEMBLY_CACHE, pools, fresh
+        monkeypatch.setattr(cache, "_materialize_miss", lambda key: flat)
+    dcis = [harness.ScenarioHarness(horizon=2 * 86400.0).build_dci(
+        "d0", trace="nd", middleware=middleware, seed=3, cap=25)
+        for middleware in ("boinc", "xwhep")]
+    counts = (cache.misses, cache.hits)
+    world = cache.skeleton("nd", 3, 25, 2 * 86400.0)
+    fresh = NodePool(world.template.fresh(),
+                     rng=np.random.default_rng([3, 0xB00]))
+    return counts, world, dcis, fresh
 
 
 def test_assembly_cache_reuses_pool_filing(monkeypatch):
-    """The assembly skeleton captures the t=0 filing on its miss and
-    restores it on the hit; both pools drive exactly like a freshly
-    filed one.  A degenerate template (an interval ending before t=0)
-    has no capturable filing and is filed afresh on every build."""
-    cache, (p1, p2), fresh = _build_twice(monkeypatch)
-    assert (cache.misses, cache.hits) == (1, 1)
-    assert p1.vector_filed and p2.vector_filed
-    assert _drive(p1) == _drive(p2) == _drive(fresh)
+    """A BOINC and an XWHEP DCI over one realization share one world:
+    the cache captures the t=0 filing on its miss and restores it on
+    the hit, and both pools drive exactly like a freshly filed one.  A
+    degenerate template (an interval ending before t=0) has no
+    capturable filing and is filed afresh on every build."""
+    from repro.middleware import BoincServer, XWHepServer
+
+    counts, world, (boinc, xwhep), fresh = _build_twice(monkeypatch)
+    assert counts == (1, 1)
+    assert type(boinc.server) is BoincServer
+    assert type(xwhep.server) is XWHepServer
+    assert world.filing is not None
+    assert boinc.pool.vector_filed and xwhep.pool.vector_filed
+    assert _drive(boinc.pool) == _drive(xwhep.pool) == _drive(fresh)
 
     raw = _fleet_raw(200, n=10)
     raw[7] = (np.array([-3.0]), np.array([-2.0]), 1.0, "gone")
-    cache, (p1, p2), fresh = _build_twice(monkeypatch, flat_from_raw(raw))
-    assert (cache.misses, cache.hits) == (1, 1)
-    assert next(iter(cache._skeletons.values())).filing is None
-    assert not p1.vector_filed and not p2.vector_filed
-    assert _drive(p1) == _drive(p2) == _drive(fresh)
+    counts, world, (boinc, xwhep), fresh = _build_twice(
+        monkeypatch, flat_from_raw(raw))
+    assert counts == (1, 1)
+    assert world.filing is None
+    assert not boinc.pool.vector_filed and not xwhep.pool.vector_filed
+    assert _drive(boinc.pool) == _drive(xwhep.pool) == _drive(fresh)

@@ -17,7 +17,8 @@ behind: reference counting alone frees everything a run discards, so
 the cyclic collector only has to walk the live world.  And they pin
 that a run keeps state proportional to what is live, not to its
 history: no bill log, no stopped cloud worker kept by the scheduler
-or its driver, and every credit deposited still accounted for.
+or its driver, no busy time kept for one by a server or coordinator,
+and every credit deposited still accounted for.
 """
 
 import contextlib
@@ -31,7 +32,11 @@ import pytest
 
 from credit_audit import assert_conserved
 from repro.cloud.api import CloudInstance, ComputeDriver
-from repro.cloud.worker import CloudWorkerHandle, RescheduleAgent
+from repro.cloud.worker import (
+    CloudDuplicationCoordinator,
+    CloudWorkerHandle,
+    RescheduleAgent,
+)
 from repro.core.scheduler import SpeQuloSScheduler
 from repro.deployment.edgi import EDGIConfig, EDGIDeployment, run_edgi
 from repro.experiments.config import (
@@ -47,6 +52,7 @@ from repro.experiments.runner import (
 )
 from repro.infra.node import Node
 from repro.infra.pool import NodePool
+from repro.middleware.base import DGServer
 from repro.middleware.boinc import BoincConfig, BoincServer
 from repro.simulator.engine import Simulation
 from repro.workload.bot import BagOfTasks, Task
@@ -74,13 +80,15 @@ def _held(value):
 
 def _check_run_state(sim):
     """Assert what a run keeps, right after it with its world still
-    referenced, and return its census: how many cloud worker handles,
-    Reschedule agents and cloud instances of this world outlive their
-    worker's stop.
+    referenced, and return its census ``(workers, agents)``: how many
+    cloud worker handles and cloud instances, and how many Reschedule
+    agents, of this world outlive their worker's stop.
 
     * each driver of the world holds its alive instances only;
     * no ``QoSRun`` references a stopped handle, and no stopped handle
       keeps its agent;
+    * every server's and every coordinator's busy-time keys belong to
+      live workers;
     * the credit ledger holds no bill, and credits are conserved.
     """
     objects = gc.get_objects()
@@ -90,6 +98,7 @@ def _check_run_state(sim):
         assert len(driver.instances) == driver.running_count(), \
             "the driver keeps destroyed instances"
     live = set()
+    live_nodes = set()
     for sched in (o for o in objects if type(o) is SpeQuloSScheduler
                   and o.sim is sim):
         assert not [e for e in sched.credits.ledger if e[0] == "bill"]
@@ -99,33 +108,41 @@ def _check_run_state(sim):
                 assert not any(type(h) is CloudWorkerHandle and h.stopped
                                for h in _held(value)), \
                     f"run {run.bot_id!r} references a stopped worker"
+            live_nodes.update(run.live)
             for handle in run.live.values():
                 live.update(map(id, (handle, handle.agent,
                                      handle.instance)))
+    for obj in objects:
+        if isinstance(obj, DGServer) and obj.sim is sim:
+            usage = (obj._cloud_busy_acc, obj._cloud_busy_since)
+        elif type(obj) is CloudDuplicationCoordinator and obj.sim is sim:
+            usage = (obj._busy_acc, obj._busy_since)
+        else:
+            continue
+        for busy in usage:
+            assert busy.keys() <= live_nodes, \
+                "busy time kept for a stopped worker"
     owners = {driver._owner for driver in drivers}
-    retained = 0
+    workers = agents = 0
     for obj in objects:
         kind = type(obj)
         if kind is CloudWorkerHandle:
             if obj.stopped:
                 assert obj.agent is None, "a stopped worker keeps its agent"
-            mine = obj.instance.owner in owners
+            workers += obj.instance.owner in owners and id(obj) not in live
         elif kind is CloudInstance:
-            mine = obj.owner in owners
+            workers += obj.owner in owners and id(obj) not in live
         elif kind is RescheduleAgent:
-            mine = obj.sim is sim
-        else:
-            continue
-        retained += mine and id(obj) not in live
-    return retained
+            agents += obj.sim is sim and id(obj) not in live
+    return workers, agents
 
 
 @contextlib.contextmanager
 def _post_run_garbage():
     """Yield what each ``Simulation.run`` inside the block left: the
     type names of the garbage found right after it (``garbage``) and
-    the census of :func:`_check_run_state` (``retained``, one count
-    per run), whose assertions it runs too.
+    the census of :func:`_check_run_state` (``retained``, one per
+    run), whose assertions it runs too.
 
     The collector is off meanwhile.  A collection right before every
     run clears what world assembly left (``ast.literal_eval``, which
@@ -164,6 +181,13 @@ def _post_run_garbage():
             gc.enable()
 
 
+def _stopped_workers_kept(seen):
+    """Handles and instances of stopped workers left by each run.  A
+    stopped Reschedule agent may outlive its worker while its boot or
+    fetch event is pending, but it no longer holds either."""
+    return [workers for workers, _agents in seen.retained]
+
+
 @pytest.mark.parametrize("golden", _GOLDENS["execution"],
                          ids=lambda g: "-".join(
                              str(g["config"][k]) for k in
@@ -172,6 +196,7 @@ def test_run_execution_matches_pre_harness_golden(golden):
     with _post_run_garbage() as seen:
         res = run_execution(ExecutionConfig(**golden["config"]))
     assert seen.garbage == []
+    assert _stopped_workers_kept(seen) == [0]
     assert res.makespan == golden["makespan"]
     assert res.censored == golden["censored"]
     assert res.events == golden["events"]
@@ -193,6 +218,7 @@ def test_run_multi_tenant_matches_pre_harness_golden(golden):
     with _post_run_garbage() as seen:
         res = run_multi_tenant(MultiTenantConfig(**golden["config"]))
     assert seen.garbage == []
+    assert _stopped_workers_kept(seen) == [0]
     assert res.events == golden["events"]
     assert res.pool_provisioned == golden["pool_provisioned"]
     assert res.pool_spent == golden["pool_spent"]
@@ -225,6 +251,7 @@ def test_run_federated_matches_golden(golden):
     with _post_run_garbage() as seen:
         res = run_federated(_scenario(golden["config"]))
     assert seen.garbage == []
+    assert _stopped_workers_kept(seen) == [0]
     assert res.events == golden["events"]
     assert res.pool_provisioned == golden["pool_provisioned"]
     assert res.pool_spent == golden["pool_spent"]
@@ -243,10 +270,12 @@ def test_stopped_cloud_workers_leave_nothing_behind():
     census of every tracked object finds no handle, agent or instance
     of a stopped worker.
 
-    Only a pending event can keep one: a worker stopped before it
-    boots, or right after it went idle, is held by its boot or fetch
-    event until that event runs, and a simulation stopped at the last
-    completion never runs it.  This scenario has no such worker."""
+    Only a pending event can keep an agent: one stopped before its
+    worker boots, or right after it went idle, is held by its boot or
+    fetch event until that event runs, and a simulation stopped at the
+    last completion never runs it.  The agent holds neither handle nor
+    instance then, which every golden run checks; this scenario has no
+    such agent either."""
     cfg = ScenarioConfig(
         dcis=(DCISpec(trace="nd", middleware="boinc", provider="stratuslab"),
               DCISpec(trace="nd", middleware="xwhep", provider="ec2")),
@@ -257,7 +286,7 @@ def test_stopped_cloud_workers_leave_nothing_behind():
     with _post_run_garbage() as seen:
         res = run_federated(cfg)
     assert seen.garbage == []
-    assert seen.retained == [0]
+    assert seen.retained == [(0, 0)]
     assert not any(t.censored for t in res.tenants)
     assert sum(t.workers_launched for t in res.tenants) > 2000
 

@@ -70,6 +70,9 @@ class _StubServer(_StubUsage):
     def cloud_usage_of(self, node_ids, now):
         return self._snapshot(node_ids)
 
+    def drop_cloud_usage(self, node):
+        self.busy_sec.pop(node.node_id, None)
+
     def remove_cloud_node(self, node):
         pass
 
@@ -87,7 +90,7 @@ class _StubCoordinator(_StubUsage):
         return self._snapshot(node_ids)
 
     def remove_worker(self, node):
-        pass
+        self.busy_sec.pop(node.node_id, None)
 
 
 class _StubDriver:

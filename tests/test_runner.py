@@ -145,44 +145,31 @@ def test_campaign_parallel_order_and_determinism():
     assert [r.config.seed for r in parallel] == list(range(8))
 
 
-# ------------------------------------------------------------- trace cache
+# ------------------------------------------------------------- world cache
 def test_trace_cache_is_true_lru(monkeypatch):
-    from repro.experiments.harness import TraceCache
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "3")
-    cache = TraceCache()
+    from repro.experiments import harness
+    monkeypatch.setattr(harness, "CAPACITY", 3)
+    cache = harness.TraceCache()
     horizon = 3600.0
 
     def key(seed):
         return ("nd", (seed,), 4, horizon)
 
     for seed in (1, 2, 3):
-        cache.materialize("nd", seed, 4, horizon)
+        cache.materialize_columns("nd", seed, 4, horizon)
     assert cache.keys() == [key(1), key(2), key(3)]
 
     # a hit refreshes recency: key(1) moves to the back...
-    cache.materialize("nd", 1, 4, horizon)
+    cache.materialize_columns("nd", 1, 4, horizon)
     assert cache.keys() == [key(2), key(3), key(1)]
 
     # ...so a miss evicts the least recently USED (key 2), not the
     # oldest inserted (key 1)
-    cache.materialize("nd", 4, 4, horizon)
+    cache.materialize_columns("nd", 4, 4, horizon)
     assert key(1) in cache.keys()
     assert key(2) not in cache.keys()
     assert cache.keys() == [key(3), key(1), key(4)]
     assert cache.hits == 1 and cache.misses == 4 and cache.evictions == 1
-
-
-def test_trace_cache_capacity_is_env_configurable(monkeypatch):
-    from repro.experiments.harness import TraceCache
-    cache = TraceCache()
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "2")
-    for seed in (1, 2, 3):
-        cache.materialize("nd", seed, 4, 3600.0)
-    assert len(cache) == 2 and cache.evictions == 1
-    monkeypatch.delenv("REPRO_TRACE_CACHE")
-    assert TraceCache.capacity() == 6  # documented default
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-    assert TraceCache.capacity() == 1  # clamped to at least one entry
 
 
 def test_trace_cache_streams_realize_independently():
@@ -190,24 +177,63 @@ def test_trace_cache_streams_realize_independently():
     collide in the cache nor produce the same realization."""
     from repro.experiments.harness import TraceCache
     cache = TraceCache()
-    a = cache.materialize("nd", 7, 4, 3600.0)
-    b = cache.materialize("nd", 7, 4, 3600.0, stream=(1,))
+    a = cache.materialize_columns("nd", 7, 4, 3600.0)
+    b = cache.materialize_columns("nd", 7, 4, 3600.0, stream=(1,))
     assert len(cache) == 2 and cache.misses == 2
-    assert [(n.starts.tolist()) for n in a] != \
-        [(n.starts.tolist()) for n in b]
+    assert a.starts.tolist() != b.starts.tolist()
     assert "2 misses" in cache.summary()
 
 
 def test_trace_cache_hit_reuses_realization_but_rebuilds_nodes():
     from repro.experiments.harness import TraceCache
     cache = TraceCache()
-    a = cache.materialize("nd", 9, 4, 3600.0)
-    b = cache.materialize("nd", 9, 4, 3600.0)
+    a = cache.materialize_columns("nd", 9, 4, 3600.0)
+    b = cache.materialize_columns("nd", 9, 4, 3600.0)
     assert len(cache) == 1
     assert cache.hits == 1 and cache.misses == 1
-    # same cached interval arrays back the rebuilt Node objects
-    assert a[0] is not b[0]
-    assert a[0].starts is b[0].starts
+    # the same cached columns back both executions; each scans with
+    # its own cursors
+    assert a is not b and a.cursor is not b.cursor
+    assert a.starts is b.starts
+
+
+def test_world_cache_is_bounded(monkeypatch):
+    """A process that walks seeds keeps at most ``CAPACITY`` worlds,
+    and once the cache is full its retained memory stops growing.
+
+    Each seed builds a BOINC and an XWHEP DCI over two realizations,
+    3x the capacity in all.  A finished world is cyclic garbage, so
+    every checkpoint collects before it measures."""
+    import gc
+    import tracemalloc
+
+    from repro.experiments import harness
+    monkeypatch.setattr(harness, "TRACE_CACHE", harness.TraceCache())
+    monkeypatch.setattr(harness, "default_trace_store", lambda: None)
+    seeds = 3 * harness.CAPACITY // 2
+    retained = []
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for seed in range(seeds):
+            world = harness.ScenarioHarness(horizon=2 * 86400.0)
+            for i, middleware in enumerate(("boinc", "xwhep")):
+                world.build_dci(f"d{i}", trace="seti",
+                                middleware=middleware, seed=seed,
+                                cap=100, stream=(i,))
+            assert len(harness.TRACE_CACHE) <= harness.CAPACITY
+            del world
+            gc.collect()
+            retained.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert harness.TRACE_CACHE.misses == 2 * seeds
+    full = harness.CAPACITY // 2  # seeds that fill the cache
+    per_seed = (retained[full - 1] - retained[0]) / (full - 1)
+    assert per_seed > 0
+    assert max(retained[full:]) < retained[full - 1] + per_seed
 
 
 def test_censoring_at_horizon():

@@ -136,9 +136,21 @@ def test_no_credits_no_cloud():
     assert driver.total_cpu_hours() == 0.0
 
 
-def test_billing_is_busy_time_at_fixed_rate(launched):
-    nodes = slow_nodes(10, power=10.0)
-    sim, srv, speq, _ = make_stack(nodes)
+def test_billing_is_busy_time_at_fixed_rate(launched, monkeypatch):
+    """Spend is the workers' busy CPU time at the paper's fixed rate.
+
+    The straggler fleet fires the 90 % trigger, so workers launch.  A
+    spy on ``_busy_seconds`` records the busy seconds each worker is
+    settled on at its stop; the server forgets them right after."""
+    settled = {}
+    busy_seconds = scheduler.SpeQuloSScheduler._busy_seconds
+
+    def spy(self, run, handle):
+        settled[handle] = busy_seconds(self, run, handle)
+        return settled[handle]
+
+    monkeypatch.setattr(scheduler.SpeQuloSScheduler, "_busy_seconds", spy)
+    sim, srv, speq, _ = make_stack(straggler_nodes())
     bot = bot_of(10, nops=100_000.0, wall_clock=10_000.0)
     speq.register_qos(bot, "dci", parse_combo("9C-C-R"))
     speq.credits.deposit("u", 10_000.0)
@@ -146,11 +158,14 @@ def test_billing_is_busy_time_at_fixed_rate(launched):
     srv.submit_bot(bot, at=0.0)
     run_to_completion(sim, srv, bot.bot_id)
     run = speq.run_for(bot.bot_id)
+    assert run.workers_launched > 0
     assert len(launched) == run.workers_launched
-    busy = sum(srv.cloud_busy_seconds(h.node) for h in launched)
-    expected = busy / 3600.0 * CREDITS_PER_CPU_HOUR
-    assert speq.credits.spent(bot.bot_id) == pytest.approx(expected,
-                                                           rel=0.01)
+    assert set(settled) == set(launched)
+    spent = speq.credits.spent(bot.bot_id)
+    assert spent > 0.0
+    expected = sum(settled.values()) / 3600.0 * CREDITS_PER_CPU_HOUR
+    assert spent == pytest.approx(expected, rel=1e-9)
+    assert all(srv.cloud_busy_seconds(h.node) == 0.0 for h in launched)
 
 
 def test_credit_exhaustion_stops_workers():

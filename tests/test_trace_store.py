@@ -10,6 +10,7 @@ import pytest
 from repro.experiments import trace_store as ts
 from repro.experiments.harness import TraceCache
 from repro.experiments.trace_store import TraceStore
+from repro.infra.node import nodes_from_flat
 
 
 @pytest.fixture
@@ -24,10 +25,17 @@ def store(tmp_path):
 KEY = ("nd", (7,), 5, 3600.0)
 
 
-def _realize(cache=None):
+def _columns(cache=None):
     if cache is None:  # NB: an empty TraceCache is falsy (len == 0)
         cache = TraceCache()
-    return cache.materialize("nd", 7, 5, 3600.0), cache
+    return cache.materialize_columns("nd", 7, 5, 3600.0), cache
+
+
+def _realize(cache=None):
+    """The realization as ``Node`` objects over the cached columns."""
+    cols, cache = _columns(cache)
+    return nodes_from_flat(cols.starts, cols.ends, cols.offsets, cols.power,
+                           cols.tags), cache
 
 
 # ------------------------------------------------------------- roundtrip
@@ -91,10 +99,10 @@ def test_disk_loaded_arrays_are_read_only(store):
 def test_rebuilt_nodes_share_the_cached_arrays(store):
     _realize()
     cache = TraceCache()
-    a, _ = _realize(cache)
-    b, _ = _realize(cache)
-    assert a[0] is not b[0]
-    assert a[0].starts is b[0].starts  # zero-copy across executions
+    a, _ = _columns(cache)
+    b, _ = _columns(cache)
+    assert a is not b and a.cursor is not b.cursor
+    assert a.starts is b.starts  # zero-copy across executions
 
 
 # ------------------------------------------------------- invalidation/GC
