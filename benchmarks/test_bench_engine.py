@@ -59,7 +59,7 @@ PR6_EVENTS_PER_SEC = 36_577.9
 
 #: warm throughput hard gate, as a multiple of the recorded seed: a
 #: regression back under 1.25x the seed means the hot path (one
-#: billing pass per tick, static-rate fast path, O(1) occupancy
+#: billing pass per tick, constant per-provider rates, O(1) occupancy
 #: counters) silently got slower.
 GATE_MULTIPLIER = 1.25
 
@@ -146,20 +146,18 @@ class _HotPathCounters:
         return wrapper
 
     def _charge(self, orig):
-        def wrapper(meter, bot_id, provider, busy_seconds, *args, **kwargs):
+        def wrapper(meter, bot_id, provider, busy_seconds):
             if busy_seconds > 0:
                 self.charges += 1
-            return orig(meter, bot_id, provider, busy_seconds,
-                        *args, **kwargs)
+            return orig(meter, bot_id, provider, busy_seconds)
         return wrapper
 
     def _charge_many(self, orig):
-        def wrapper(meter, bot_id, provider, busy_deltas, *args, **kwargs):
-            fail = orig(meter, bot_id, provider, busy_deltas,
-                        *args, **kwargs)
-            # charges priced: the positive deltas up to the shortfall
-            billed = busy_deltas if fail < 0 else busy_deltas[:fail + 1]
-            self.charges += sum(1 for b in billed if b > 0)
+        def wrapper(meter, bot_id, provider, busy_deltas):
+            fail = orig(meter, bot_id, provider, busy_deltas)
+            # charges priced: every delta (all positive) up to the
+            # shortfall
+            self.charges += len(busy_deltas) if fail < 0 else fail + 1
             self.charge_batches += 1
             return fail
         return wrapper

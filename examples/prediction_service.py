@@ -5,8 +5,8 @@ SpeQuloS predicts a BoT's completion as ``tp = alpha * tc(r) / r`` —
 the current progress extrapolated linearly, corrected by a per-
 environment factor ``alpha`` fitted on archived executions.  This
 example builds a history by running several BoTs in one environment
-(persisted through the SQLite archive backend, as a real multi-user
-service would), then scores +-20 % prediction accuracy on fresh
+(persisted through the salted SQLite archive backend, as a real
+multi-user service would), then scores +-20 % prediction accuracy on fresh
 executions — the paper's Table 4 protocol.
 
 Run:  python examples/prediction_service.py
@@ -15,7 +15,7 @@ Run:  python examples/prediction_service.py
 
 from repro.core.info import InformationModule
 from repro.core.oracle import fit_alpha, prediction_success
-from repro.core.storage import ExecutionRecord, SQLiteHistoryStore
+from repro.history import ExecutionRecord, PersistentHistoryStore
 from repro.experiments import ExecutionConfig, run_campaign
 
 ENV = ("nd", "xwhep", "SMALL")
@@ -29,7 +29,7 @@ def main() -> None:
           f"{PREDICT_AT:.0%} completion\n")
 
     # 1. Build a history archive from 8 training executions.
-    store = SQLiteHistoryStore(":memory:")
+    store = PersistentHistoryStore(":memory:", salt="example")
     info = InformationModule(store=store)
     train_cfgs = [ExecutionConfig(trace=trace, middleware=mw, category=cat,
                                   seed=500 + i, bot_size=200,

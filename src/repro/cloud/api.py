@@ -52,14 +52,6 @@ class ProviderProfile:
     max_instances: int = 10_000
     #: descriptive only — deployment accounting (Table 5 flavour)
     region: str = "eu-west"
-    #: on-demand list price in credits per CPU·hour (the paper's
-    #: uniform §3.3 rate unless a profile overrides it); scenario
-    #: price books may override per provider without touching profiles
-    price_per_cpu_hour: float = 15.0
-    #: optional spot-tier list price (None: provider quotes on-demand
-    #: for spot requests); a scenario's PriceBook can instead attach a
-    #: time-varying spot trace (repro.economics.pricing.spot_rate)
-    spot_price_per_cpu_hour: Optional[float] = None
 
 
 @dataclass
@@ -109,16 +101,6 @@ class ComputeDriver:
     @property
     def name(self) -> str:
         return self.profile.name
-
-    @property
-    def price_per_cpu_hour(self) -> float:
-        """The provider's on-demand list price (credits/CPU·h).
-
-        A scenario's :class:`~repro.economics.pricing.PriceBook` may
-        quote a different effective rate; this is the profile default
-        the book falls back to when seeded from profiles.
-        """
-        return self.profile.price_per_cpu_hour
 
     def running_count(self) -> int:
         return self._running

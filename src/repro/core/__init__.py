@@ -28,7 +28,6 @@ from repro.core.info import BoTMonitor, InformationModule
 from repro.core.oracle import Oracle, Prediction, fit_alpha
 from repro.core.scheduler import SchedulerConfig, SpeQuloSScheduler
 from repro.core.service import SpeQuloS
-from repro.core.storage import InMemoryHistoryStore, SQLiteHistoryStore
 from repro.core.strategies import (
     ALL_COMBOS,
     DEPLOY_CLOUD_DUP,
@@ -52,8 +51,6 @@ __all__ = [
     "SchedulerConfig",
     "SpeQuloSScheduler",
     "SpeQuloS",
-    "InMemoryHistoryStore",
-    "SQLiteHistoryStore",
     "StrategyCombo",
     "parse_combo",
     "ALL_COMBOS",

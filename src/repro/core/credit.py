@@ -18,16 +18,13 @@ Life cycle of an order (mirrors the sequence diagram):
 Two deposit policies are provided: :class:`CappedDailyDeposit` (the
 paper's 200-nodes-per-day style administrator cap) and
 :class:`NetworkOfFavors`, the cooperation-between-institutions scheme
-the paper cites (Andrade et al.) as the natural extension.  Their
-*scheduled* forms — policies the scenario harness ticks over virtual
-time, including pool top-ups and per-tenant rationing — live in
-:mod:`repro.economics.deposits` and talk to this module through
-:meth:`CreditSystem.fund_pool` and :meth:`CreditSystem.set_allowance`.
+the paper cites (Andrade et al.) as the natural extension.
 
 Pricing note: this module deliberately knows nothing about providers.
-:data:`CREDITS_PER_CPU_HOUR` remains the paper's reference exchange
-rate and the default everywhere, but the conversion from CPU time to
-credits is owned by the economics plane
+:data:`CREDITS_PER_CPU_HOUR` (defined in :mod:`repro.economics.pricing`
+and re-exported here) remains the paper's reference exchange rate and
+the default everywhere, but the conversion from CPU time to credits is
+owned by the economics plane
 (:class:`~repro.economics.billing.BillingMeter` over a
 :class:`~repro.economics.pricing.PriceBook`), which may quote a
 different rate per cloud provider.
@@ -47,12 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.economics.pricing import CREDITS_PER_CPU_HOUR
+
 __all__ = ["CreditSystem", "InsufficientCredits", "CreditOrder",
            "CreditPool", "CappedDailyDeposit", "NetworkOfFavors",
            "CREDITS_PER_CPU_HOUR"]
-
-#: Fixed exchange rate (§3.3): 1 CPU·hour of Cloud worker = 15 credits.
-CREDITS_PER_CPU_HOUR = 15.0
 
 
 class InsufficientCredits(RuntimeError):
@@ -116,7 +112,7 @@ class CreditSystem:
         self._pools: Dict[str, CreditPool] = {}
         #: audit log of the account, escrow and pool transitions as
         #: (op, user/bot/pool, amount) tuples — deposit, order, close,
-        #: open/fund/join/close_pool: O(BoTs), never one per bill.
+        #: open/join/close_pool: O(BoTs), never one per bill.
         #: Spend lives where its readers look: ``CreditOrder.spent``,
         #: ``CreditPool.spent`` and the billing meter's per-provider sums
         self.ledger: List[Tuple[str, str, float]] = []
@@ -351,25 +347,6 @@ class CreditSystem:
         self._pools[pool_id] = pool
         self.ledger.append(("open_pool", pool_id, amount))
         return pool
-
-    def fund_pool(self, pool_id: str, user: str, amount: float) -> float:
-        """Deposit additional credits into an *open* pool from a user
-        account (the scheduled deposit policies' verb — see
-        :mod:`repro.economics.deposits`); returns the pool's new
-        remaining balance."""
-        pool = self._pools.get(pool_id)
-        if pool is None or pool.closed:
-            raise KeyError(f"no open pool {pool_id!r}")
-        if amount < 0:
-            raise ValueError("fund amount must be non-negative")
-        if self.balance(user) < amount:
-            raise InsufficientCredits(
-                f"user {user!r} has {self.balance(user):.1f} credits, "
-                f"needs {amount:.1f}")
-        self._accounts[user] -= amount
-        pool.provisioned += amount
-        self.ledger.append(("fund_pool", pool_id, amount))
-        return pool.remaining
 
     def join_pool(self, bot_id: str, pool_id: str) -> CreditOrder:
         """Open a pooled order: the BoT bills the shared escrow."""

@@ -296,12 +296,12 @@ class CheapestDrainRouter(Router):
             pricebook = PriceBook()
         self.book = pricebook
 
-    def _rate_of(self, target, now: float) -> float:
+    def _rate_of(self, target) -> float:
         driver = getattr(target, "driver", None)
         provider = getattr(driver, "name", None)
         if provider is None:
             return self.book.default
-        return self.book.rate(provider, now)
+        return self.book.rate(provider)
 
     def route(self, category: str, targets: Sequence, now: float) -> int:
         if not targets:
@@ -314,7 +314,7 @@ class CheapestDrainRouter(Router):
             if math.isinf(drain):      # dead DCI: never preferred
                 scores.append(math.inf)
                 continue
-            scores.append((1.0 + drain) * self._rate_of(target, now))
+            scores.append((1.0 + drain) * self._rate_of(target))
         return int(min(range(len(targets)), key=scores.__getitem__))
 
 

@@ -15,8 +15,8 @@ accounting and charged each tick.  Pricing is owned by the economics
 plane: the Scheduler charges usage through a
 :class:`~repro.economics.billing.BillingMeter` reading per-provider
 rates from the scenario's :class:`~repro.economics.pricing.PriceBook`
-(default: a uniform book at ``config.credits_per_cpu_hour``, which is
-float-for-float the historical inline formula).  Workers persist until the BoT
+(default: a uniform book at the paper's 15 credits per CPU·hour, which
+is float-for-float the historical inline formula).  Workers persist until the BoT
 completes or the escrowed credits run out ("If all the credits
 allocated to the BoT have been spent, or if the BoT execution is
 completed, Cloud workers are stopped"); an optional ``idle_grace``
@@ -62,7 +62,7 @@ from repro.cloud.worker import (
     CloudWorkerHandle,
     RescheduleAgent,
 )
-from repro.core.credit import CREDITS_PER_CPU_HOUR, CreditSystem
+from repro.core.credit import CreditSystem
 from repro.core.info import BoTMonitor, InformationModule
 from repro.economics.billing import BillingMeter
 from repro.economics.pricing import PriceBook
@@ -87,7 +87,6 @@ class SchedulerConfig:
 
     #: monitor / billing loop period (seconds)
     tick_period: float = 60.0
-    credits_per_cpu_hour: float = CREDITS_PER_CPU_HOUR
     #: release workers idle longer than this (None: keep them until
     #: BoT completion / credit exhaustion, as the paper's Scheduler
     #: does — idle time costs nothing under usage billing)
@@ -292,11 +291,9 @@ class SpeQuloSScheduler:
         self.config = config or SchedulerConfig()
         #: the economics plane's accounting source: every credit the
         #: scheduler bills flows through here, priced per provider
-        #: (uniform at config.credits_per_cpu_hour unless the scenario
-        #: attaches a price book)
-        self.meter = BillingMeter(
-            credits, pricebook if pricebook is not None
-            else PriceBook.uniform(self.config.credits_per_cpu_hour))
+        #: (uniform at the paper's rate unless the scenario attaches a
+        #: price book)
+        self.meter = BillingMeter(credits, pricebook)
         self.runs: Dict[str, QoSRun] = {}
         self._tick_ev: Optional[Event] = None
         self._on_run_finished = on_run_finished
@@ -378,7 +375,7 @@ class SpeQuloSScheduler:
             budget = self.meter.remaining_for(run.bot_id)
         n = run.oracle.cloud_workers_to_start(
             run.monitor, budget,
-            self.meter.rate_for(run.driver.name, self.sim.now),
+            self.meter.rate_for(run.driver.name),
             self.sim.now)
         n = min(n, self.config.max_workers)
         if self.arbiter is not None:
@@ -435,8 +432,7 @@ class SpeQuloSScheduler:
         delta = total - handle.billed_busy
         if delta <= 0:
             return True
-        billed, asked = self.meter.charge(run.bot_id, run.driver.name,
-                                          delta, self.sim.now)
+        billed, asked = self.meter.charge(run.bot_id, run.driver.name, delta)
         handle.billed_busy = total
         return billed >= asked - 1e-9
 
@@ -470,7 +466,7 @@ class SpeQuloSScheduler:
         short = None
         if charged:
             fail = self.meter.charge_many(run.bot_id, run.driver.name,
-                                          [deltas[i] for i in charged], now)
+                                          [deltas[i] for i in charged])
             if fail >= 0:
                 del charged[fail + 1:]
                 short = handles[charged[fail]]

@@ -347,22 +347,6 @@ class ScenarioHarness:
             self.sim.at(self.sim.now + ctrl.retry_period,
                         self._retry_deferred, sub, dci_name, pool_id)
 
-    def schedule_deposits(self, policies):
-        """Tick deposit policies over the scenario's virtual time.
-
-        Promotes the one-off deposit helpers into scheduled economics
-        objects: each policy (:class:`~repro.economics.deposits.
-        AccountTopUp`, :class:`~repro.economics.deposits.PoolTopUp`,
-        :class:`~repro.economics.deposits.AllowanceRation`, or
-        anything with ``period`` + ``apply(credits, now)``) fires
-        every ``period`` simulated seconds against the service's
-        credit system.  Returns the started
-        :class:`~repro.economics.deposits.DepositSchedule`.
-        """
-        from repro.economics.deposits import DepositSchedule
-        return DepositSchedule(self.sim, self.service.credits,
-                               policies).start()
-
     def stop_when_complete(self, bot_ids: Iterable[str]) -> None:
         """Stop the simulation once every listed BoT has completed.
 

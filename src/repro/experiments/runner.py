@@ -406,8 +406,7 @@ class DCIOutcome:
     #: credits the runs routed here billed (economics plane: the
     #: per-cloud slice of the pool's spend)
     credits_spent: float = 0.0
-    #: the provider's effective rate in the scenario's price book
-    #: (quoted at t=0 for time-varying books)
+    #: the provider's rate in the scenario's price book
     price_per_cpu_hour: float = CREDITS_PER_CPU_HOUR
 
 
@@ -579,7 +578,7 @@ def run_federated(cfg: ScenarioConfig) -> FederatedResult:
             # order spend sums to this DCI's slice of the pool
             credits_spent=sum(service.credits.spent(r.bot_id)
                               for r in runs),
-            price_per_cpu_hour=book.rate(spec.provider, 0.0)))
+            price_per_cpu_hour=book.rate(spec.provider)))
 
     spent, _refund = service.credits.close_pool(pool_id)
     return FederatedResult(

@@ -5,8 +5,8 @@ the Oracle's α-calibrated predictions (§3.4) improve with use.  This
 package owns that archive end to end:
 
 * :mod:`repro.history.records` — the :class:`ExecutionRecord` unit,
-  the ``tc(x)`` percent grid, environment keys, and the process-local
-  backends (in-memory, plain SQLite);
+  the ``tc(x)`` percent grid, environment keys, and the in-memory
+  backend;
 * :mod:`repro.history.persistent` — the cross-run SQLite backend next
   to the campaign store, salted with the code fingerprint so stale
   history orphans itself like stale campaign results;
@@ -41,7 +41,6 @@ from repro.history.records import (
     ExecutionRecord,
     HistoryStore,
     InMemoryHistoryStore,
-    SQLiteHistoryStore,
     env_key_of,
     split_env_key,
     tc_grid,
@@ -57,7 +56,6 @@ __all__ = [
     "HistoryStore",
     "InMemoryHistoryStore",
     "PersistentHistoryStore",
-    "SQLiteHistoryStore",
     "default_history_path",
     "env_key_of",
     "fit_alpha",

@@ -68,7 +68,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["Event", "Simulation", "SimulationError"]
 
@@ -203,7 +203,7 @@ class Simulation:
                     f"batch handler for {fn!r} scheduled a same-time "
                     f"higher-urgency event (priority {priority} < "
                     f"{active.priority}); per-event dispatch would preempt "
-                    "the rest of the batch — unregister the batch handler")
+                    "the rest of the batch — do not batch-register it")
         ev = Event(float(time), priority, next(self._seq), fn, args)
         key = (ev.time, priority)
         bucket = self._open.get(key)
@@ -213,21 +213,6 @@ class Simulation:
             heapq.heappush(self._heap, (ev.time, priority, ev.seq, bucket))
         bucket.events.append(ev)
         return ev
-
-    def schedule_batch(self, delay: float, fn: Callable[..., Any],
-                       argslist: Sequence[tuple],
-                       priority: int = PRIORITY_NORMAL) -> List[Event]:
-        """Schedule ``fn(*args)`` once per args tuple, all at one instant.
-
-        The events share one ``(time, priority)`` bucket in seq order,
-        so a batch handler registered for ``fn`` receives them as a
-        single call when the bucket drains.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay!r}")
-        t = self.now + delay
-        return [self.at(t, fn, *args, priority=priority)
-                for args in argslist]
 
     # ------------------------------------------------------------------
     # batch-handler registry
@@ -246,9 +231,6 @@ class Simulation:
         if not callable(fn) or not callable(batch_fn):
             raise SimulationError("register_batch expects two callables")
         self._batch[fn] = batch_fn
-
-    def unregister_batch(self, fn: Callable[..., Any]) -> None:
-        self._batch.pop(fn, None)
 
     def add_stop_hook(self, fn: Callable[[], None]) -> None:
         """Run ``fn()`` when :meth:`run` returns because of :meth:`stop`.
@@ -377,7 +359,7 @@ class Simulation:
                                     f"{e!r} inside its own batch; the "
                                     "per-event path would have honoured "
                                     "the cancellation mid-run — "
-                                    "unregister the batch handler")
+                                    "do not batch-register it")
                         continue
             i += 1
             self._active_idx = i
@@ -406,8 +388,8 @@ class Simulation:
         if self._in_batch:
             raise SimulationError(
                 "stop() called from inside a batch handler; the per-event "
-                "path would halt mid-bucket — unregister the batch handler "
-                "for callbacks that may stop the simulation")
+                "path would halt mid-bucket — do not batch-register "
+                "callbacks that may stop the simulation")
         self._stopped = True
 
     # ------------------------------------------------------------------

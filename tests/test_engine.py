@@ -384,11 +384,11 @@ def test_batch_of_one_takes_the_per_event_path():
     assert rec.log == [("one", "solo"), ("one", "alone")]
 
 
-def test_schedule_batch_shares_one_bucket_and_batches():
+def test_same_instant_events_share_one_bucket_and_batch():
     sim = Simulation()
     rec = BatchRecorder()
     sim.register_batch(rec.one, rec.one_batch)
-    evs = sim.schedule_batch(5.0, rec.one, [("a",), ("b",), ("c",)])
+    evs = [sim.at(5.0, rec.one, label) for label in "abc"]
     assert [ev.time for ev in evs] == [5.0] * 3
     assert len(sim._heap) == 1
     sim.run()
@@ -479,7 +479,8 @@ def test_batch_handler_may_schedule_same_key_followups():
         rec.one_batch(argslist)
         if not spawned:
             spawned.append(True)
-            sim.schedule_batch(0.0, rec.one, [("x",), ("y",)])
+            for label in "xy":
+                sim.at(sim.now, rec.one, label)
 
     sim.register_batch(rec.one, one_batch)
     sim.at(5.0, rec.one, "a")
@@ -522,17 +523,6 @@ def test_cancelling_a_run_member_inside_the_batch_raises():
     evs.append(sim.at(5.0, rec.one, "b"))
     with pytest.raises(SimulationError, match="cancelled"):
         sim.run()
-
-
-def test_unregister_batch_restores_per_event_dispatch():
-    sim = Simulation()
-    rec = BatchRecorder()
-    sim.register_batch(rec.one, rec.one_batch)
-    sim.unregister_batch(rec.one)
-    sim.at(5.0, rec.one, "a")
-    sim.at(5.0, rec.one, "b")
-    sim.run()
-    assert rec.log == [("one", "a"), ("one", "b")]
 
 
 def test_bound_method_registration_is_per_instance():

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from repro.core.info import BoTMonitor, InformationModule, tc_grid
 from repro.core.oracle import Oracle, fit_alpha, prediction_success
-from repro.core.storage import (
+from repro.history import (
     ExecutionRecord,
     InMemoryHistoryStore,
-    SQLiteHistoryStore,
+    PersistentHistoryStore,
 )
 from repro.workload.bot import BagOfTasks, Task
 
@@ -92,7 +92,8 @@ def test_tc_grid_shape_and_nan_padding():
 
 # ------------------------------------------------------------------ stores
 @pytest.mark.parametrize("store_factory", [
-    InMemoryHistoryStore, lambda: SQLiteHistoryStore(":memory:")])
+    InMemoryHistoryStore,
+    lambda: PersistentHistoryStore(":memory:", salt="test")])
 def test_store_roundtrip(store_factory):
     store = store_factory()
     rec = ExecutionRecord("env1", 100, 1234.5,
@@ -108,7 +109,7 @@ def test_store_roundtrip(store_factory):
 
 
 def test_sqlite_store_preserves_nan():
-    store = SQLiteHistoryStore(":memory:")
+    store = PersistentHistoryStore(":memory:", salt="test")
     grid = np.full(100, np.nan)
     grid[49] = 55.0
     store.add(ExecutionRecord("e", 10, 100.0, grid))

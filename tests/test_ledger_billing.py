@@ -17,7 +17,7 @@ trajectories and compares full state after every step.  The run keeps
 no list of its launched workers, so each world keeps its own.
 
 Also pinned here: ``BillingMeter.charge_many`` against sequential
-``charge`` calls and the ``PriceBook`` static-rate cache semantics.
+``charge`` calls.
 """
 
 from types import SimpleNamespace
@@ -312,9 +312,11 @@ def test_stop_by_node_uses_the_index():
 @settings(max_examples=80, deadline=None)
 def test_charge_many_matches_sequential_charges(data):
     provision = data.draw(st.sampled_from([0.01, 0.5, 20.0, 1e5]))
+    # the charge pass hands over its positive deltas only, never none
     deltas = data.draw(st.lists(
-        st.floats(-5.0, 400.0, allow_nan=False, allow_infinity=False),
-        min_size=0, max_size=10))
+        st.floats(0.0, 400.0, exclude_min=True, allow_nan=False,
+                  allow_infinity=False),
+        min_size=1, max_size=10))
     book = PriceBook.uniform(
         data.draw(st.sampled_from([15.0, 3.5, 120.0])))
 
@@ -327,34 +329,14 @@ def test_charge_many_matches_sequential_charges(data):
     (seq, seq_bills), (batch, batch_bills) = fresh(), fresh()
     expected_fail = -1
     for i, d in enumerate(deltas):
-        billed, asked = seq.charge("b", "p", d, now=60.0)
+        billed, asked = seq.charge("b", "p", d)
         if billed < asked - 1e-9:
             expected_fail = i
             break  # the scheduler stops billing here
-    got_fail = batch.charge_many("b", "p", deltas, now=60.0)
+    got_fail = batch.charge_many("b", "p", deltas)
     assert got_fail == expected_fail
     assert batch_bills == seq_bills
     assert batch.credits.get_order("b").spent == \
         seq.credits.get_order("b").spent
     assert batch.spent_by_provider == seq.spent_by_provider
     assert batch.cpu_seconds_by_provider == seq.cpu_seconds_by_provider
-
-
-# --------------------------------------------------- static-rate caching
-def test_static_book_caches_and_set_rate_invalidates():
-    book = PriceBook.uniform(15.0)
-    assert book.is_static()
-    assert book.rate("ec2", now=0.0) == 15.0
-    assert ("ec2", "ondemand") in book._rate_cache
-    assert book.rate("ec2", now=9999.0) == 15.0  # served from cache
-    book.set_rate("ec2", 30.0)
-    assert book._rate_cache == {}  # invalidated
-    assert book.rate("ec2", now=0.0) == 30.0
-
-
-def test_time_varying_book_never_caches():
-    book = PriceBook({"spotty": lambda now: 10.0 + now})
-    assert not book.is_static()
-    assert book.rate("spotty", now=0.0) == 10.0
-    assert book.rate("spotty", now=5.0) == 15.0
-    assert book._rate_cache == {}
