@@ -92,8 +92,6 @@ class ComputeDriver:
         #: leaves behind
         self.created = array("d")
         self.destroyed = array("d")
-        #: maintained count of alive instances
-        self._running = 0
         #: identity token each instance carries (ownership check)
         self._owner = object()
 
@@ -103,14 +101,14 @@ class ComputeDriver:
         return self.profile.name
 
     def running_count(self) -> int:
-        return self._running
+        return len(self.instances)
 
     def create_node(self, tag: str = "", **meta: str) -> CloudInstance:
         """Start one instance; the node accepts work after boot_delay.
 
         Raises :class:`QuotaExceeded` beyond the provider cap.
         """
-        if self._running >= self.profile.max_instances:
+        if len(self.instances) >= self.profile.max_instances:
             raise QuotaExceeded(
                 f"{self.name}: quota of {self.profile.max_instances} reached")
         now = self.sim.now
@@ -128,7 +126,6 @@ class ComputeDriver:
         self.created.append(now)
         self.destroyed.append(math.inf)
         self.instances[inst.instance_id] = inst
-        self._running += 1
         return inst
 
     def destroy_node(self, inst: CloudInstance) -> None:
@@ -137,7 +134,6 @@ class ComputeDriver:
             raise CloudError(f"unknown instance {inst.instance_id}")
         if self.instances.pop(inst.instance_id, None) is not None:
             self.destroyed[inst.row] = self.sim.now
-            self._running -= 1
 
     def list_nodes(self) -> List[CloudInstance]:
         """The alive instances, in creation order."""

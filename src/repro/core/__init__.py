@@ -21,7 +21,6 @@ from repro.core.credit import (
     CappedDailyDeposit,
     CreditSystem,
     InsufficientCredits,
-    NetworkOfFavors,
     CREDITS_PER_CPU_HOUR,
 )
 from repro.core.info import BoTMonitor, InformationModule
@@ -43,7 +42,6 @@ __all__ = [
     "CreditSystem",
     "InsufficientCredits",
     "CappedDailyDeposit",
-    "NetworkOfFavors",
     "CREDITS_PER_CPU_HOUR",
     "Oracle",
     "Prediction",

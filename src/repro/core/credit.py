@@ -15,10 +15,8 @@ Life cycle of an order (mirrors the sequence diagram):
    credits have been spent, the Credit System transfers back the
    remaining credits").
 
-Two deposit policies are provided: :class:`CappedDailyDeposit` (the
-paper's 200-nodes-per-day style administrator cap) and
-:class:`NetworkOfFavors`, the cooperation-between-institutions scheme
-the paper cites (Andrade et al.) as the natural extension.
+One deposit policy is provided: :class:`CappedDailyDeposit`, the
+paper's 200-nodes-per-day style administrator cap.
 
 Pricing note: this module deliberately knows nothing about providers.
 :data:`CREDITS_PER_CPU_HOUR` (defined in :mod:`repro.economics.pricing`
@@ -47,8 +45,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.economics.pricing import CREDITS_PER_CPU_HOUR
 
 __all__ = ["CreditSystem", "InsufficientCredits", "CreditOrder",
-           "CreditPool", "CappedDailyDeposit", "NetworkOfFavors",
-           "CREDITS_PER_CPU_HOUR"]
+           "CreditPool", "CappedDailyDeposit", "CREDITS_PER_CPU_HOUR"]
 
 
 class InsufficientCredits(RuntimeError):
@@ -422,39 +419,3 @@ class CappedDailyDeposit:
         if topup:
             credits.deposit(user, topup)
         return topup
-
-
-class NetworkOfFavors:
-    """Inter-institution cooperation accounting (Andrade et al.).
-
-    Each BE-DCI earns *favors* when its resources compute for another
-    institution's users and spends them when the roles reverse; the
-    balance modulates how much cloud credit an institution's users
-    receive.  This is the extension §3.3 points at for multi-BE-DCI /
-    multi-cloud cooperation.
-    """
-
-    def __init__(self) -> None:
-        self._favors: Dict[Tuple[str, str], float] = {}
-
-    def record_favor(self, donor: str, beneficiary: str,
-                     amount: float) -> None:
-        """``donor`` computed ``amount`` credits worth for ``beneficiary``."""
-        if amount < 0:
-            raise ValueError("favor amount must be non-negative")
-        key = (donor, beneficiary)
-        self._favors[key] = self._favors.get(key, 0.0) + amount
-
-    def balance(self, a: str, b: str) -> float:
-        """Net favors ``a`` holds over ``b`` (positive: b owes a)."""
-        return (self._favors.get((a, b), 0.0)
-                - self._favors.get((b, a), 0.0))
-
-    def deposit_allowance(self, institution: str, base: float) -> float:
-        """Deposit budget for an institution: base plus net favors
-        earned across all peers (never below zero)."""
-        earned = sum(v for (d, _b), v in self._favors.items()
-                     if d == institution)
-        owed = sum(v for (_d, b), v in self._favors.items()
-                   if b == institution)
-        return max(0.0, base + earned - owed)

@@ -178,10 +178,6 @@ class DGServer:
         #: CPU actually used, §3.3's "Cloud worker usage")
         self._cloud_busy_acc: Dict[int, float] = {}
         self._cloud_busy_since: Dict[int, float] = {}
-        # A submitted BoT's simultaneous arrivals (the paper's SMALL/BIG
-        # categories all arrive at t=0) drain as one engine batch call
-        # instead of thousands of per-event dispatches.
-        sim.register_batch(self._arrive, self._arrive_batch)
 
     # ------------------------------------------------------------------
     # load probes (federated routing, repro.core.routing)
@@ -222,18 +218,6 @@ class DGServer:
         self._incomplete.add(st)
         self._note_fetch_candidate(st)
         self._enqueue_new(st)
-
-    def _arrive_batch(self, argslist) -> None:
-        """Batched form of :meth:`_arrive` (same instant, seq order).
-
-        Replays the per-event body per args tuple — exact by
-        construction.  Subclasses whose dispatch order provably cannot
-        depend on interleaving (XWHEP's node-agnostic FIFO pick)
-        override this with a single merged dispatch.
-        """
-        for bot_id, task in argslist:
-            self._arrive_one(bot_id, task)
-            self._dispatch()
 
     # ------------------------------------------------------------------
     # hooks for subclasses

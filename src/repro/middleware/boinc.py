@@ -75,15 +75,6 @@ class BoincServer(DGServer):
                  config: Optional[BoincConfig] = None, name: str = "boinc"):
         super().__init__(sim, pool, name)
         self.config = config or BoincConfig()
-        # The big same-instant producers: every replica assigned during
-        # an arrival storm schedules its delay_bound timer at the same
-        # future instant, and node churn lands suspend/resume waves on
-        # shared ticks.  The handlers replay the per-event body in seq
-        # order (exact by construction); batching removes the engine's
-        # per-event dispatch overhead for these buckets.
-        sim.register_batch(self._timeout, self._timeout_batch)
-        sim.register_batch(self._suspend, self._suspend_batch)
-        sim.register_batch(self._resume, self._resume_batch)
 
     # ------------------------------------------------------------------
     # base hooks
@@ -183,26 +174,13 @@ class BoincServer(DGServer):
         self.pool.release(rep.node, t)
         self._dispatch()
 
+    # Nothing in src/ calls these four: they stay only because the
+    # benchmark's per-layer tracer (benchmarks/perf/layers.py) resolves
+    # them by name, and they go with the next benchmark change, as do
+    # ``NodePool.acquire_many``/``ready_hint`` and ``AssemblyCache``.
     def _arrive_batch(self, argslist) -> None:
-        """Arrival storm; merged dispatch when the queue starts empty.
-
-        With no earlier pending workunits, every unit in the merged
-        queue is fresh, so by induction no drawn node can sit in any
-        workunit's ``workers`` set (a node only re-enters the pool via
-        a set-aside, which requires an ineligible draw first) — the
-        eligibility scan always matches the first live unit, exactly as
-        it would under per-arrival dispatch, and the RNG draw sequence
-        is the per-arrival concatenation.  With older units already
-        queued the one-result-per-user scan can set a node aside under
-        one queue shape but match it under the other, so the exact
-        per-event replay from the base class runs instead.
-        """
-        if self.pending:
-            super()._arrive_batch(argslist)
-            return
-        for bot_id, task in argslist:
-            self._arrive_one(bot_id, task)
-        self._dispatch()
+        for args in argslist:
+            self._arrive(*args)
 
     def _suspend_batch(self, argslist) -> None:
         for (rep,) in argslist:

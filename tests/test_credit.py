@@ -7,7 +7,6 @@ from repro.core.credit import (
     CappedDailyDeposit,
     CreditSystem,
     InsufficientCredits,
-    NetworkOfFavors,
 )
 
 
@@ -161,26 +160,3 @@ def test_capped_deposit_never_overfills():
     policy = CappedDailyDeposit(cap=6000.0)
     assert policy.apply(cs, "alice") == 0.0
     assert cs.balance("alice") == 9000.0
-
-
-# --------------------------------------------------------------- favors
-def test_network_of_favors_balance():
-    nof = NetworkOfFavors()
-    nof.record_favor("lal", "lri", 100.0)
-    nof.record_favor("lri", "lal", 30.0)
-    assert nof.balance("lal", "lri") == pytest.approx(70.0)
-    assert nof.balance("lri", "lal") == pytest.approx(-70.0)
-
-
-def test_network_of_favors_allowance():
-    nof = NetworkOfFavors()
-    nof.record_favor("lal", "lri", 100.0)   # lal earned 100
-    nof.record_favor("sztaki", "lal", 40.0)  # lal owes 40
-    assert nof.deposit_allowance("lal", base=50.0) == pytest.approx(110.0)
-    assert nof.deposit_allowance("lri", base=50.0) == pytest.approx(0.0)
-
-
-def test_network_of_favors_validation():
-    nof = NetworkOfFavors()
-    with pytest.raises(ValueError):
-        nof.record_favor("a", "b", -1.0)

@@ -84,7 +84,9 @@ def _check_run_state(sim):
     cloud worker handles and cloud instances, and how many Reschedule
     agents, of this world outlive their worker's stop.
 
-    * each driver of the world holds its alive instances only;
+    * each driver of the world holds its alive instances only: every
+      held instance's history row reads ``destroyed == inf``, and
+      there are as many ``inf`` rows as held instances;
     * no ``QoSRun`` references a stopped handle, and no stopped handle
       keeps its agent;
     * every server's and every coordinator's busy-time keys belong to
@@ -95,8 +97,11 @@ def _check_run_state(sim):
     drivers = [o for o in objects if type(o) is ComputeDriver
                and o.sim is sim]
     for driver in drivers:
-        assert len(driver.instances) == driver.running_count(), \
+        assert all(driver.destroyed[inst.row] == np.inf
+                   for inst in driver.instances.values()), \
             "the driver keeps destroyed instances"
+        assert driver.destroyed.tolist().count(np.inf) \
+            == len(driver.instances), "the driver dropped an alive instance"
     live = set()
     live_nodes = set()
     for sched in (o for o in objects if type(o) is SpeQuloSScheduler

@@ -254,18 +254,7 @@ def test_pending_prune_inside_running_callback():
     assert ran == ["first", "last"]
 
 
-# ---------------------------------------------- same-timestamp coalescing
-def test_same_key_events_share_one_heap_entry():
-    """The point of coalescing: k same-(time, priority) events cost one
-    heap entry, not k."""
-    sim = Simulation()
-    for i in range(100):
-        sim.at(5.0, lambda: None)
-    assert len(sim._heap) == 1
-    sim.run()
-    assert sim.events_processed == 100
-
-
+# ------------------------------------------------- same-timestamp order
 def test_coalesced_events_preserve_priority_then_seq_order():
     sim = Simulation()
     log = []
@@ -344,204 +333,6 @@ def test_cancel_mid_bucket_skips_without_firing():
     sim.run()
     assert log == ["first", "kept"]
     assert sim.events_processed == 2
-
-
-# -------------------------------------------------------- batched dispatch
-class BatchRecorder:
-    """Counts per-event vs batched deliveries of one callable."""
-
-    def __init__(self):
-        self.log = []
-
-    def one(self, label):
-        self.log.append(("one", label))
-
-    def one_batch(self, argslist):
-        self.log.append(("batch", [label for (label,) in argslist]))
-
-    def other(self, label):
-        self.log.append(("other", label))
-
-
-def test_batch_handler_gets_one_call_with_args_in_seq_order():
-    sim = Simulation()
-    rec = BatchRecorder()
-    sim.register_batch(rec.one, rec.one_batch)
-    for label in "abc":
-        sim.at(5.0, rec.one, label)
-    sim.run()
-    assert rec.log == [("batch", ["a", "b", "c"])]
-    assert sim.events_processed == 3
-
-
-def test_batch_of_one_takes_the_per_event_path():
-    sim = Simulation()
-    rec = BatchRecorder()
-    sim.register_batch(rec.one, rec.one_batch)
-    sim.at(5.0, rec.one, "solo")
-    sim.at(6.0, rec.one, "alone")   # different instants: never batched
-    sim.run()
-    assert rec.log == [("one", "solo"), ("one", "alone")]
-
-
-def test_same_instant_events_share_one_bucket_and_batch():
-    sim = Simulation()
-    rec = BatchRecorder()
-    sim.register_batch(rec.one, rec.one_batch)
-    evs = [sim.at(5.0, rec.one, label) for label in "abc"]
-    assert [ev.time for ev in evs] == [5.0] * 3
-    assert len(sim._heap) == 1
-    sim.run()
-    assert rec.log == [("batch", ["a", "b", "c"])]
-
-
-def test_events_cancelled_before_the_run_are_excluded():
-    sim = Simulation()
-    rec = BatchRecorder()
-    sim.register_batch(rec.one, rec.one_batch)
-    lead = sim.at(5.0, rec.one, "lead")
-    sim.at(5.0, rec.one, "a")
-    mid = sim.at(5.0, rec.one, "mid")
-    sim.at(5.0, rec.one, "b")
-    tail = sim.at(5.0, rec.one, "tail")
-    for ev in (lead, mid, tail):
-        ev.cancel()
-    sim.run()
-    assert rec.log == [("batch", ["a", "b"])]
-    assert sim.events_processed == 2
-
-
-def test_mixed_callables_split_runs_in_seq_order():
-    sim = Simulation()
-    rec = BatchRecorder()
-    sim.register_batch(rec.one, rec.one_batch)
-    sim.at(5.0, rec.one, "a")
-    sim.at(5.0, rec.one, "b")
-    sim.at(5.0, rec.other, "x")
-    sim.at(5.0, rec.one, "c")
-    sim.at(5.0, rec.one, "d")
-    sim.run()
-    assert rec.log == [("batch", ["a", "b"]), ("other", "x"),
-                       ("batch", ["c", "d"])]
-
-
-def test_cancelled_interloper_does_not_split_the_run():
-    sim = Simulation()
-    rec = BatchRecorder()
-    sim.register_batch(rec.one, rec.one_batch)
-    sim.at(5.0, rec.one, "a")
-    ghost = sim.at(5.0, rec.other, "ghost")
-    sim.at(5.0, rec.one, "b")
-    ghost.cancel()
-    sim.run()
-    assert rec.log == [("batch", ["a", "b"])]
-
-
-def test_priority_buckets_never_merge_into_one_run():
-    sim = Simulation()
-    rec = BatchRecorder()
-    sim.register_batch(rec.one, rec.one_batch)
-    sim.at(5.0, rec.one, "n1")
-    sim.at(5.0, rec.one, "n2")
-    sim.at(5.0, rec.one, "m1", priority=PRIORITY_MONITOR)
-    sim.at(5.0, rec.one, "m2", priority=PRIORITY_MONITOR)
-    sim.run()
-    assert rec.log == [("batch", ["n1", "n2"]), ("batch", ["m1", "m2"])]
-
-
-def test_same_time_infra_event_preempts_before_the_batch():
-    """Flat-heap order around a batch: an infra event raised at the
-    bucket's own instant runs before the batched remainder."""
-    sim = Simulation()
-    rec = BatchRecorder()
-    sim.register_batch(rec.one, rec.one_batch)
-
-    def opener():
-        rec.log.append(("opener",))
-        sim.at(5.0, rec.other, "infra", priority=PRIORITY_INFRA)
-
-    sim.at(5.0, opener)
-    for label in "abc":
-        sim.at(5.0, rec.one, label)
-    sim.run()
-    assert rec.log == [("opener",), ("other", "infra"),
-                       ("batch", ["a", "b", "c"])]
-
-
-def test_batch_handler_may_schedule_same_key_followups():
-    """Events a batch handler queues at its own (time, priority) get
-    larger seqs, drain afterwards, and may batch again."""
-    sim = Simulation()
-    rec = BatchRecorder()
-    spawned = []
-
-    def one_batch(argslist):
-        rec.one_batch(argslist)
-        if not spawned:
-            spawned.append(True)
-            for label in "xy":
-                sim.at(sim.now, rec.one, label)
-
-    sim.register_batch(rec.one, one_batch)
-    sim.at(5.0, rec.one, "a")
-    sim.at(5.0, rec.one, "b")
-    sim.run()
-    assert rec.log == [("batch", ["a", "b"]), ("batch", ["x", "y"])]
-    assert sim.events_processed == 4
-
-
-def test_batch_handler_scheduling_higher_urgency_same_time_raises():
-    sim = Simulation()
-    rec = BatchRecorder()
-
-    def bad_batch(argslist):
-        sim.at(5.0, rec.other, "preempt", priority=PRIORITY_INFRA)
-
-    sim.register_batch(rec.one, bad_batch)
-    sim.at(5.0, rec.one, "a")
-    sim.at(5.0, rec.one, "b")
-    with pytest.raises(SimulationError, match="higher-urgency"):
-        sim.run()
-
-
-def test_stop_inside_a_batch_handler_raises():
-    sim = Simulation()
-    rec = BatchRecorder()
-    sim.register_batch(rec.one, lambda argslist: sim.stop())
-    sim.at(5.0, rec.one, "a")
-    sim.at(5.0, rec.one, "b")
-    with pytest.raises(SimulationError, match="stop"):
-        sim.run()
-
-
-def test_cancelling_a_run_member_inside_the_batch_raises():
-    sim = Simulation()
-    rec = BatchRecorder()
-    evs = []
-    sim.register_batch(rec.one, lambda argslist: evs[-1].cancel())
-    evs.append(sim.at(5.0, rec.one, "a"))
-    evs.append(sim.at(5.0, rec.one, "b"))
-    with pytest.raises(SimulationError, match="cancelled"):
-        sim.run()
-
-
-def test_bound_method_registration_is_per_instance():
-    sim = Simulation()
-    rec1, rec2 = BatchRecorder(), BatchRecorder()
-    sim.register_batch(rec1.one, rec1.one_batch)   # rec2 stays per-event
-    sim.at(5.0, rec1.one, "a")
-    sim.at(5.0, rec1.one, "b")
-    sim.at(5.0, rec2.one, "x")
-    sim.at(5.0, rec2.one, "y")
-    sim.run()
-    assert rec1.log == [("batch", ["a", "b"])]
-    assert rec2.log == [("one", "x"), ("one", "y")]
-
-
-def test_register_batch_rejects_non_callables():
-    sim = Simulation()
-    with pytest.raises(SimulationError):
-        sim.register_batch("not-callable", lambda argslist: None)
 
 
 def test_run_until_drained_heap_advances_clock_to_bound():

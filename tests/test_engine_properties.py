@@ -6,7 +6,8 @@ stop operations issued from inside callbacks — and checks the engine's
 contract properties rather than specific traces:
 
 * execution order is exactly ``(time, priority, seq)``-sorted;
-* cancelled events never fire;
+* cancelled events never fire, and ``events_processed`` counts every
+  event that did;
 * ``pending()`` / ``peek()`` agree with a shadow model of the heap;
 * ``run(until=...)`` never advances past its bound, never runs an
   event beyond it, and the clock is monotone across phased runs.
@@ -15,8 +16,6 @@ contract properties rather than specific traces:
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.simulator.engine import (
     PRIORITY_INFRA,
@@ -100,6 +99,7 @@ def test_random_interleaving_fires_in_key_order(seed):
     driver.spawn(30)
     sim.run()
     assert len(driver.executed) == driver.spawned - len(driver.cancelled)
+    assert sim.events_processed == len(driver.executed)
     assert not driver.live
 
 
@@ -139,10 +139,12 @@ def test_stop_halts_after_current_callback(seed):
         sim.at(t, cb, i)
     sim.run()
     assert len(fired) == stop_at + 1
+    assert sim.events_processed == stop_at + 1
     assert sim.now == pytest.approx(times[fired[-1]])
     # a fresh run() resumes where the stop left off
     sim.run()
     assert len(fired) == 50
+    assert sim.events_processed == 50
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -167,85 +169,3 @@ def test_run_until_clock_invariants(seed):
     sim.run()
     assert len(fired) == 120
     assert fired == sorted(fired)
-
-
-# ---------------------------------------------------------------------------
-# batched dispatch vs the flat per-event reference (hypothesis)
-# ---------------------------------------------------------------------------
-class _BatchModeDriver:
-    """Runs one generated schedule, optionally with batch handlers.
-
-    Two callables are batch-registrable (``f0``, ``f1``); a third is
-    always per-event.  Fired events append to a log and spawn children
-    deterministically from their token, so the reference and the
-    batched run face identical workloads; the engine's batch contract
-    says their observable traces must be indistinguishable.
-    """
-
-    def __init__(self, spec, batched: bool):
-        self.sim = Simulation()
-        self.log = []
-        self.spawned = 0
-        if batched:
-            self.sim.register_batch(self.f0, self._f0_batch)
-            self.sim.register_batch(self.f1, self._f1_batch)
-        events = []
-        for time, priority, fn_idx, token in spec["events"]:
-            fn = (self.f0, self.f1, self.g)[fn_idx]
-            events.append(self.sim.at(time, fn, token, priority=priority))
-        for i in spec["cancels"]:
-            events[i % len(events)].cancel()
-
-    # the two batched forms replay per event — exact by construction
-    def _f0_batch(self, argslist):
-        for (token,) in argslist:
-            self.f0(token)
-
-    def _f1_batch(self, argslist):
-        for (token,) in argslist:
-            self.f1(token)
-
-    def f0(self, token):
-        self._fire(0, token)
-
-    def f1(self, token):
-        self._fire(1, token)
-
-    def g(self, token):
-        self._fire(2, token)
-
-    def _fire(self, kind, token):
-        self.log.append((kind, token, self.sim.now))
-        # deterministic children: strictly-future times keep the spawn
-        # legal from inside a batch (same-time higher-urgency raises)
-        if self.spawned < 40 and token % 3 == 0:
-            self.spawned += 1
-            child_fn = (self.f0, self.f1, self.g)[token % 2]
-            self.sim.schedule(1.0 + token % 2, child_fn, token + 101,
-                              priority=PRIORITIES[token % 3])
-
-    def run(self):
-        self.sim.run()
-        return self.log, self.sim.events_processed, self.sim.now
-
-
-_EVENT = st.tuples(
-    st.sampled_from([0.0, 1.0, 1.0, 2.0, 2.0, 5.0]),   # clustered times
-    st.sampled_from(PRIORITIES),
-    st.integers(min_value=0, max_value=2),             # fn choice
-    st.integers(min_value=0, max_value=60),            # token
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.fixed_dictionaries({
-    "events": st.lists(_EVENT, min_size=1, max_size=30),
-    "cancels": st.lists(st.integers(min_value=0, max_value=200),
-                        max_size=6),
-}))
-def test_batched_dispatch_is_indistinguishable_from_flat(spec):
-    ref_log, ref_count, ref_now = _BatchModeDriver(spec, False).run()
-    bat_log, bat_count, bat_now = _BatchModeDriver(spec, True).run()
-    assert bat_log == ref_log
-    assert bat_count == ref_count
-    assert bat_now == ref_now
