@@ -20,12 +20,17 @@ figures dominates the suite's runtime, so the fast developer lane
 """
 
 import pathlib
+import time
 
 import pytest
 
 from repro.experiments.config import get_scale
 
 _BENCH_DIR = pathlib.Path(__file__).parent
+
+#: when this conftest loaded — before any test of the session ran, so
+#: an engine record older than this was left behind by an earlier run
+_SESSION_START = time.time()
 
 
 def pytest_collection_modifyitems(items):
@@ -57,9 +62,11 @@ def pytest_terminal_summary(terminalreporter):
         if traces is not None:
             line += f" — store: {traces.summary()}"
         terminalreporter.write_line(line)
-    # engine scale sweep (latest record written by test_bench_engine)
+    # engine scale sweep, if test_bench_engine wrote its record in this
+    # session (a record an earlier run left would report its figures)
     bench_json = _BENCH_DIR / "results" / "BENCH_engine.json"
-    if bench_json.exists():
+    if (bench_json.exists()
+            and bench_json.stat().st_mtime >= _SESSION_START):
         record = json.loads(bench_json.read_text())
         sweep = record.get("scale_sweep")
         if sweep:

@@ -199,8 +199,12 @@ class TraceStore:
         with np.load(path, allow_pickle=False) as npz:
             powers = npz["powers"]
             tags = npz["tags"]
+        # one str per distinct tag, shared by every host that carries
+        # it, not one str per host
+        names, inverse = np.unique(tags, return_inverse=True)
+        names = names.tolist()
         return (arrays["starts"], arrays["ends"], arrays["bounds"],
-                powers, tuple(tags.tolist()))
+                powers, tuple(map(names.__getitem__, inverse.tolist())))
 
     def _quarantine(self, path: str) -> None:
         """Move an unreadable archive aside (``.corrupt``, reclaimed by

@@ -1,10 +1,15 @@
 """NodePool: lazy acquire/release semantics and poll weighting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pool_oracle import members_of, ready_map
+from repro.infra.catalog import get_trace_spec
+from repro.infra.columns import NodeColumns
 from repro.infra.node import Node
 from repro.infra.pool import NodePool
 from trace_oracle import columns_from_raw
@@ -98,6 +103,30 @@ def test_remove_while_busy_blocks_release():
     assert pool.acquire(10.0) is None
 
 
+@pytest.mark.parametrize("columnar", [False, True])
+@pytest.mark.parametrize("other_start", [22.0, 50.0])
+def test_removed_host_is_not_promoted_from_the_overflow_heap(columnar,
+                                                            other_start):
+    """A host removed while its next interval waits in the overflow
+    heap stays out when that interval comes due: at t=25 the heap
+    entry is due alone (other host at 50) or beside a due epoch entry
+    (other host at 22)."""
+    nodes = [volatile(0, [0, 20], [10, 30]),
+             volatile(1, [other_start], [other_start + 30])]
+    members = (columns_from_raw([(n.starts, n.ends, n.power, n.tag)
+                                 for n in nodes]).fresh()
+               if columnar else nodes)
+    pool = NodePool(members, rng=rng())
+    node, _ = pool.acquire(1.0)
+    assert node.node_id == 0
+    pool.preempted(node, 10.0)  # files [20, 30) in the overflow heap
+    pool.remove(node)
+    got = [pool.acquire(25.0), pool.acquire(25.0)]
+    assert [g[0].node_id for g in got if g] == ([1] if other_start < 25
+                                                else [])
+    assert members_of(pool) == {1} and ready_map(pool) == {}
+
+
 def test_duplicate_add_rejected():
     n = volatile(1, [0], [100])
     pool = NodePool([n], rng=rng())
@@ -177,7 +206,7 @@ def test_has_ready_refiles_stale_entries():
     pool = NodePool([volatile(1, [0, 200], [100, 300])], rng=rng())
     assert pool.has_ready(10.0)
     assert not pool.has_ready(150.0)    # stale entry swept...
-    assert pool._ready_end_of == {}     # ...out of the ready index
+    assert ready_map(pool) == {}        # ...out of the ready index
     assert pool.next_future_start(150.0) == 200.0  # refiled, not lost
     assert pool.has_ready(250.0)        # and promoted back on time
 
@@ -215,19 +244,22 @@ class PoolModel:
     def check_partition(self):
         """ready ∪ future ∪ busy partitions the membership set."""
         pool = self.pool
-        ready = set(pool._ready_end_of)
-        future = {nid for _, nid, _, _ in pool._future
-                  if nid in pool._members}
+        members = members_of(pool)
+        ready = set(ready_map(pool))
+        future = {nid for _, nid, _, _ in pool._future if nid in members}
         future |= {nid for nid in pool._fut_id[pool._fut_pos:].tolist()
-                   if nid in pool._members}  # the live epoch slice
-        busy = {nid for nid in self.busy if nid in pool._members}
-        assert ready | future | busy == pool._members
+                   if nid in members}  # the live epoch slice
+        busy = {nid for nid in self.busy if nid in members}
+        assert ready | future | busy == members
         assert not ready & future
         assert not ready & busy
         assert not future & busy
-        assert pool.size == len(pool._members)
-        for nid, (_end, entry) in pool._ready_end_of.items():
-            assert (entry if type(entry) is int else entry.node_id) == nid
+        assert pool.size == len(members)
+        # the ready count is the index's size, and every node object
+        # is indexed under its own id
+        assert pool._n_ready == np.count_nonzero(~np.isnan(pool._filed))
+        for nid, (_end, node) in pool._obj_ready.items():
+            assert node.node_id == nid
 
     def step(self, op, dt):
         self.t += dt
@@ -251,8 +283,8 @@ class PoolModel:
             pool.idle_count(t)
         elif op == 5:
             pool.next_future_start(t)
-        elif op == 6 and pool._members:
-            nid = sorted(pool._members)[0]
+        elif op == 6 and pool.size:
+            nid = sorted(members_of(pool))[0]
             pool.remove(self.nodes[nid])
             self.busy.pop(nid, None)
         self.check_partition()
@@ -330,16 +362,17 @@ def test_sweep_refile_ghosts_are_compacted_away(monkeypatch):
     for step in range(30):
         t = step + 0.75  # every interval filed before has expired
         pool.has_ready(t)  # the probe sweeps and refiles
+        index = ready_map(pool)
         ghosts = (len(pool._ready_reg) + len(pool._ready_cloud)
-                  - len(pool._ready_end_of))
+                  - len(index))
         # the tail may grow between compactions, but never past the
         # trigger threshold plus one sweep's worth of refiles
-        assert ghosts <= max(8, len(pool._ready_end_of)) + 4
+        assert ghosts <= max(8, len(index)) + 4
     assert compactions
     # after the final compaction cycle each indexed id appears at most
     # once per draw list
     ids = [e if type(e) is int else e.node_id for e in pool._ready_reg]
-    live = [i for i in ids if i in pool._ready_end_of]
+    live = [i for i in ids if i in ready_map(pool)]
     assert len(live) == len(set(live))
 
 
@@ -407,6 +440,34 @@ def test_acquire_many_equals_sequential_acquires(fleet_seed, n, rng_seed,
             else:
                 pool_a.preempted(na, t)
                 pool_b.preempted(nb, t)
-    assert pool_a._ready_end_of == {
-        nid: (end, nid if type(e) is int else e.node_id)
-        for nid, (end, e) in pool_b._ready_end_of.items()}
+    assert ready_map(pool_a) == ready_map(pool_b)
+    assert pool_a._ready_reg == pool_b._ready_reg
+
+
+# ---------------------------------------------------------------------------
+# per-host heap of a world's filing and of a pool restored from it
+# ---------------------------------------------------------------------------
+def test_filing_and_restored_pool_keep_no_python_object_per_host():
+    """One seti world (seed 0, stream 0, 3 days, 2,000 hosts), measured
+    with ``tracemalloc``: the t=0 filing a world keeps and a pool
+    restored from it hold a few arrays, 22 and 19 B per host (CPython
+    3.11, NumPy 2.4).  When they held a member set, a ready-index dict
+    and its tuples they took 100 and 45 B per host, so a per-host
+    Python object coming back fails the bounds."""
+    flat = get_trace_spec("seti").materialize(
+        np.random.default_rng([0, 0, 0xACE]), 3 * 86400.0, 2000)
+    template = NodeColumns.from_flat(*flat)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        filing = NodePool(template.fresh()).capture_filing()
+        filed = tracemalloc.get_traced_memory()[0]
+        cols = template.fresh()
+        base = tracemalloc.get_traced_memory()[0]
+        pool = NodePool.from_filing(cols, filing)
+        restored = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert template.n == 2000 and pool.size > 0
+    assert (filed - start) / template.n < 40
+    assert (restored - base) / template.n < 32

@@ -1,12 +1,14 @@
-"""Batched pool probes vs the per-host reference they replaced.
+"""The columnar pool vs the historical all-heap pool it replaced.
 
-Two pools over the same columnar fleet — the batched ``NodePool`` and
-``pool_oracle.ScalarProbePool`` — are driven through the same random
-operation sequence: acquires, bulk acquires, releases, preemptions,
-cloud and volatile ``Node`` members coming and going, and all three
-probes.  After every step the results and every structure must match:
-draw lists, ready index (insertion order included), sorted heap
-contents, epoch cursors, interval cursors and the RNG state.
+Two pools over the same columnar fleet — ``NodePool``, whose trace
+hosts live in arrays, and ``pool_oracle.HeapPool``, the historical
+dict index, tuple heaps and member set — are driven through the same
+random operation sequence: acquires, bulk acquires, releases,
+preemptions, cloud and volatile ``Node`` members coming and going, and
+all three probes.  After every step what each observes must match:
+results, both draw lists, the ready map ``{id: end}``, the multiset of
+pending future keys, members and ``size``, interval cursors and the
+RNG state.
 
 The sweep's bulk refile moves cursors with
 ``NodeColumns.next_available_many``, which looks at most
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pool_oracle import ScalarProbePool
+from pool_oracle import HeapPool, members_of, ready_map
 from repro.infra import columns
 from repro.infra.catalog import get_trace_spec
 from repro.infra.columns import NodeColumns
@@ -36,7 +38,8 @@ HORIZON = 600.0
 
 
 def _fleet(seed, n):
-    """``n`` hosts with 1–8 sorted, disjoint intervals in [0, 600)."""
+    """``n`` hosts with 1–8 sorted, disjoint intervals in [0, 600),
+    integer endpoints, so hosts share starts and ends."""
     g = np.random.default_rng(seed)
     raw = []
     for _ in range(n):
@@ -51,18 +54,28 @@ def _key(entry):
     return ("col", entry) if type(entry) is int else ("obj", entry.node_id)
 
 
+def _pending(pool, members):
+    """The multiset of future keys ``(start, id, end)`` of members (a
+    removed member's key is dropped whenever a structure meets it at
+    its head, and the two pools' heads differ)."""
+    keys = [(s, nid, end) for s, nid, _e, end in pool._future]
+    if not isinstance(pool, HeapPool):
+        pos = pool._fut_pos
+        keys += zip(pool._fut_start[pos:].tolist(),
+                    pool._fut_id[pos:].tolist(),
+                    pool._fut_end[pos:].tolist())
+    return sorted(k for k in keys if k[1] in members)
+
+
 def _snapshot(pool):
-    """Every probe-visible structure, with node objects named by id."""
+    """What a pool observes, with node objects named by id."""
+    members = members_of(pool)
     return {
         "reg": [_key(e) for e in pool._ready_reg],
         "cloud": [_key(e) for e in pool._ready_cloud],
-        "index": [(nid, end, _key(e))
-                  for nid, (end, e) in pool._ready_end_of.items()],
-        "future": sorted((s, nid, _key(e), end)
-                         for s, nid, e, end in pool._future),
-        "stale": sorted(pool._stale),
-        "epochs": (pool._fut_pos, pool._stale_pos),
-        "members": sorted(pool._members),
+        "ready": ready_map(pool),
+        "future": _pending(pool, members),
+        "members": sorted(members),
         "size": pool.size,
         "cursor": pool._columns.cursor.tolist(),
         "rng": pool._rng.bit_generator.state,
@@ -79,14 +92,13 @@ def _result(got):
 
 
 class Twin:
-    """The batched pool and the reference, driven in lockstep."""
+    """The columnar pool and the all-heap reference, in lockstep."""
 
     def __init__(self, fleet_seed, n, rng_seed):
         template = columns_from_raw(_fleet(fleet_seed, n))
         self.pools = (
             NodePool(template.fresh(), rng=np.random.default_rng(rng_seed)),
-            ScalarProbePool(template.fresh(),
-                            rng=np.random.default_rng(rng_seed)))
+            HeapPool(template.fresh(), rng=np.random.default_rng(rng_seed)))
         self.nodes = {}   # id -> (node for each pool) of Node members
         self.busy = {}    # id -> ((node for each pool), interval end)
         self.next_id = 10 ** 6
@@ -139,8 +151,8 @@ class Twin:
             nodes = self._new_nodes(arg % 3, np.random.default_rng(arg))
             self.nodes[nodes[0].node_id] = nodes
             self._both(lambda p, i: p.add(nodes[i], t))
-        elif op == 5 and self.pools[0]._members:
-            members = sorted(self.pools[0]._members)
+        elif op == 5 and self.pools[0].size:
+            members = sorted(members_of(self.pools[0]))
             nid = members[arg % len(members)]
             pair = self.nodes.get(nid, (SimpleNamespace(node_id=nid),) * 2)
             self._both(lambda p, i: p.remove(pair[i]))
@@ -185,10 +197,13 @@ def test_batched_probes_match_per_host_reference(fleet_seed, n, rng_seed,
 
 def test_twin_drive_runs_both_branches_of_each_probe(monkeypatch):
     """Guard against the comparison silently covering one branch: in a
-    fixed drive, the batched pool's promotion and sweep must each file
-    some due slices host by host and others in bulk."""
+    fixed drive, the columnar pool's promotion must file some due
+    slices host by host and others in bulk, its sweep must refile some
+    expired sets host by host and others in bulk, and its bulk refiles
+    must merge some later-starting batches into the epoch and push
+    others onto the overflow heap."""
     seen = Counter()
-    probe = []  # the batched pool's probe step running, if any
+    probe = []  # the columnar pool's probe step running, if any
 
     def scoped(name):
         fn = getattr(NodePool, name)
@@ -201,24 +216,35 @@ def test_twin_drive_runs_both_branches_of_each_probe(monkeypatch):
                 probe.pop()
         monkeypatch.setattr(NodePool, name, run)
 
-    def counted(cls, name, branch):
-        fn = getattr(cls, name)
+    def counted(name, step, branch):
+        fn = getattr(NodePool, name)
 
         def run(self, *args):
-            if probe:
-                seen[probe[-1], branch] += 1
+            if probe and probe[-1] == step:
+                seen[step, branch] += 1
             return fn(self, *args)
-        monkeypatch.setattr(cls, name, run)
+        monkeypatch.setattr(NodePool, name, run)
 
+    refile = NodePool._refile
+
+    def pushing_refile(self, ids, t):
+        before = len(self._future)
+        refile(self, ids, t)
+        if len(self._future) > before:
+            seen["heap push"] += 1
+
+    monkeypatch.setattr(NodePool, "_refile", pushing_refile)
     scoped("_promote")
-    scoped("_sweep_stale")
-    counted(NodePool, "_file_ready", "entry")
-    counted(NodePool, "_enqueue", "entry")
-    counted(NodePool, "_file_ready_many", "bulk")
-    counted(NodeColumns, "next_available_many", "bulk")
+    scoped("_sweep")
+    counted("_file_ready", "_promote", "entry")
+    counted("_file_ready_many", "_promote", "bulk")
+    counted("_enqueue", "_sweep", "entry")
+    counted("_refile", "_sweep", "bulk")
+    counted("_merge_epoch", "_sweep", "epoch merge")
     _drive(Twin(fleet_seed=5, n=150, rng_seed=2))
-    for step in ("_promote", "_sweep_stale"):
+    for step in ("_promote", "_sweep"):
         assert seen[step, "entry"] > 0 and seen[step, "bulk"] > 0, seen
+    assert seen["_sweep", "epoch merge"] > 0 and seen["heap push"] > 0, seen
 
 
 # ------------------------------------------------- bounded look-ahead

@@ -54,6 +54,19 @@ def test_save_load_roundtrip_bit_identical(store):
         assert tags[i] == node.tag
 
 
+def test_loaded_tags_hold_one_str_per_distinct_tag(store):
+    """A load hands every host that carries a tag the same str object,
+    not a copy per host, and the tuple still equals the saved one."""
+    saved = tuple(f"tag{k % 3}" for k in range(12))
+    n = len(saved)
+    key = ("tags", (), n, 1.0)
+    store.save(key, (np.zeros(n), np.ones(n), np.arange(n + 1),
+                     np.ones(n), saved))
+    tags = store.load_flat(key)[4]
+    assert tags == saved
+    assert len({id(tag) for tag in tags}) == len(set(saved)) == 3
+
+
 def test_fresh_cache_promotes_from_disk_without_regenerating(store):
     nodes1, cache1 = _realize()
     # a second process is modelled by a fresh L1 over the same store
